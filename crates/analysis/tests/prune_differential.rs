@@ -67,7 +67,7 @@ fn verdict_stream(
         .map(|i| {
             let mut rng = path_rng(seed, i);
             let o = gen
-                .generate_with(&mut scratch, strategy.as_mut(), &mut rng)
+                .generate_with(&mut scratch, strategy.as_mut(), &mut rng, &mut NoHooks)
                 .expect("path generation succeeds");
             (o.verdict, o.steps, o.end_time.to_bits())
         })

@@ -2509,30 +2509,16 @@ impl Network {
         out: &mut IntervalSet,
     ) -> Result<(), EvalError> {
         self.refresh_rates(t, &mut s.rates, state);
-        self.delay_window_rated(t, s, state, out)
-    }
-
-    /// [`Network::delay_window_into`] without the rate refresh: evaluates
-    /// against the rates left in the scratch by [`Network::rates_refresh`]
-    /// (or any refreshing `*_into` call). Valid as long as no transition
-    /// has fired since the refresh — bit-identical to the refreshing form.
-    ///
-    /// # Errors
-    /// Identical to the legacy method.
-    pub fn delay_window_rated(
-        &self,
-        t: &StepTables,
-        s: &mut StepScratch,
-        state: &NetState,
-        out: &mut IntervalSet,
-    ) -> Result<(), EvalError> {
         self.delay_window_rated_prof(t, s, state, out, &mut NoopProfile)
     }
 
-    /// [`Network::delay_window_rated`] with profiling hooks: records one
-    /// delay-window solve plus every guard-program opcode executed. The
-    /// [`NoopProfile`] instantiation is what the unprofiled entry point
-    /// monomorphizes to — zero extra work.
+    /// [`Network::delay_window_into`] without the rate refresh and with
+    /// profiling hooks. It evaluates against the rates left in the
+    /// scratch by [`Network::rates_refresh`] (or any refreshing `*_into`
+    /// call), which stay valid as long as no transition has fired since
+    /// the refresh — bit-identical to the refreshing form. It records one
+    /// delay-window solve plus every guard-program opcode executed; the
+    /// [`NoopProfile`] instantiation monomorphizes to zero extra work.
     ///
     /// # Errors
     /// Identical to the legacy method.
@@ -2600,25 +2586,12 @@ impl Network {
         state: &NetState,
     ) -> Result<(), EvalError> {
         self.refresh_rates(t, &mut s.rates, state);
-        self.guarded_candidates_rated(t, s, state)
-    }
-
-    /// [`Network::guarded_candidates_into`] without the rate refresh (see
-    /// [`Network::delay_window_rated`] for the contract).
-    ///
-    /// # Errors
-    /// Identical to the legacy method.
-    pub fn guarded_candidates_rated(
-        &self,
-        t: &StepTables,
-        s: &mut StepScratch,
-        state: &NetState,
-    ) -> Result<(), EvalError> {
         self.guarded_candidates_rated_prof(t, s, state, &mut NoopProfile)
     }
 
-    /// [`Network::guarded_candidates_rated`] with profiling hooks: records
-    /// one guard evaluation (with its enabled/disabled outcome) per guard
+    /// [`Network::guarded_candidates_into`] without the rate refresh (see
+    /// [`Network::delay_window_rated_prof`] for the contract) and with
+    /// profiling hooks: records one guard evaluation (with its enabled/disabled outcome) per guard
     /// visited, plus every guard-program opcode executed.
     ///
     /// # Errors
@@ -2797,30 +2770,14 @@ impl Network {
         window: &IntervalSet,
     ) -> Result<(), EvalError> {
         self.refresh_rates(t, &mut s.rates, state);
-        self.advance_rated(t, s, state, d, window)
-    }
-
-    /// [`Network::advance_mut`] without rate refreshes: advancing never
-    /// changes locations, so the scratch rates stay valid through the
-    /// internal boundary-overshoot retreats too (see
-    /// [`Network::delay_window_rated`] for the contract).
-    ///
-    /// # Errors
-    /// Identical to the legacy method. On error the state may be partially
-    /// advanced; callers reset per path.
-    pub fn advance_rated(
-        &self,
-        t: &StepTables,
-        s: &mut StepScratch,
-        state: &mut NetState,
-        d: f64,
-        window: &IntervalSet,
-    ) -> Result<(), EvalError> {
         self.advance_rated_prof(t, s, state, d, window, &mut NoopProfile)
     }
 
-    /// [`Network::advance_rated`] with profiling hooks: records the flow
-    /// re-establishment opcodes and any invariant re-checks the
+    /// [`Network::advance_mut`] without rate refreshes and with profiling
+    /// hooks: advancing never changes locations, so the scratch rates stay
+    /// valid through the internal boundary-overshoot retreats too (see
+    /// [`Network::delay_window_rated_prof`] for the contract). Records the
+    /// flow re-establishment opcodes and any invariant re-checks the
     /// boundary-overshoot retreat performs.
     ///
     /// # Errors
@@ -2864,7 +2821,7 @@ impl Network {
         Ok(())
     }
 
-    /// True if [`Network::delay_window_rated`] would fail on `state`. The
+    /// True if [`Network::delay_window_rated_prof`] would fail on `state`. The
     /// scratch rates are already valid at every call site (locations are
     /// unchanged since the caller's refresh).
     fn invariants_violated<P: ProfileHooks>(
@@ -2978,26 +2935,12 @@ impl Network {
         out: &mut IntervalSet,
     ) -> Result<(), EvalError> {
         self.active_rates_into(state, &mut s.rates);
-        self.predicate_window_rated(s, pred, state, out)
-    }
-
-    /// [`Network::predicate_window_into`] without the rate refresh (see
-    /// [`Network::delay_window_rated`] for the contract).
-    ///
-    /// # Errors
-    /// Solver errors, as for guards.
-    pub fn predicate_window_rated(
-        &self,
-        s: &mut StepScratch,
-        pred: &CompiledPredicate,
-        state: &NetState,
-        out: &mut IntervalSet,
-    ) -> Result<(), EvalError> {
         self.predicate_window_rated_prof(s, pred, state, out, &mut NoopProfile)
     }
 
-    /// [`Network::predicate_window_rated`] with profiling hooks: records
-    /// the predicate-program opcodes executed.
+    /// [`Network::predicate_window_into`] without the rate refresh (see
+    /// [`Network::delay_window_rated_prof`] for the contract) and with
+    /// profiling hooks: records the predicate-program opcodes executed.
     ///
     /// # Errors
     /// Solver errors, as for guards.

@@ -28,7 +28,7 @@ fn bench_path_generation(h: &mut Harness) {
         h.bench(&format!("sensor_filter/{size}"), || {
             let mut rng = path_rng(1, i);
             i += 1;
-            gen.generate_with(&mut scratch, &mut strategy, &mut rng).unwrap()
+            gen.generate_with(&mut scratch, &mut strategy, &mut rng, &mut NoHooks).unwrap()
         });
         let mut i = 0u64;
         h.bench(&format!("sensor_filter/{size}/fresh_scratch"), || {
@@ -36,7 +36,7 @@ fn bench_path_generation(h: &mut Harness) {
             i += 1;
             gen.generate(&mut strategy, &mut rng).unwrap()
         });
-        // The batched SoA kernel, 32 lanes per iteration (divide the
+        // The batched driver, 32 lanes per iteration (divide the
         // reported time by 32 for the per-path cost).
         let mut batch_scratch = BatchScratch::new();
         let mut batch = Vec::new();
@@ -69,7 +69,7 @@ fn bench_path_generation(h: &mut Harness) {
         h.bench(&format!("launcher/{kind}"), || {
             let mut rng = path_rng(2, i);
             i += 1;
-            gen.generate_with(&mut scratch, strategy.as_mut(), &mut rng).unwrap()
+            gen.generate_with(&mut scratch, strategy.as_mut(), &mut rng, &mut NoHooks).unwrap()
         });
     }
 
@@ -84,7 +84,7 @@ fn bench_path_generation(h: &mut Harness) {
     h.bench("gps/progressive", || {
         let mut rng = path_rng(3, i);
         i += 1;
-        gen.generate_with(&mut scratch, &mut strategy, &mut rng).unwrap()
+        gen.generate_with(&mut scratch, &mut strategy, &mut rng, &mut NoHooks).unwrap()
     });
     let mut batch_scratch = BatchScratch::new();
     let mut batch = Vec::new();

@@ -8,7 +8,7 @@
 //! [`SimScratch`], runs warm-up paths so every pooled buffer reaches its
 //! steady-state capacity, resets the global allocation counter, runs the
 //! measured paths, and requires the counter delta to be **exactly zero**.
-//! The batched SoA kernel is gated the same way on every model: one
+//! The batched driver is gated the same way on every model: one
 //! [`BatchScratch`], warm-up batches to steady state, then measured
 //! batches that must allocate nothing (the reused output `Vec` included).
 //! Any regression that sneaks an allocation into the hot loop — a
@@ -83,20 +83,23 @@ fn main() {
 
         for i in 0..WARM_PATHS {
             let mut rng = path_rng(1, i);
-            black_box(gen.generate_with(&mut scratch, &mut strategy, &mut rng).unwrap());
+            black_box(
+                gen.generate_with(&mut scratch, &mut strategy, &mut rng, &mut NoHooks).unwrap(),
+            );
         }
 
         alloc::reset();
         let mut steps = 0u64;
         for i in WARM_PATHS..WARM_PATHS + MEASURED_PATHS {
             let mut rng = path_rng(1, i);
-            let out = gen.generate_with(&mut scratch, &mut strategy, &mut rng).unwrap();
+            let out =
+                gen.generate_with(&mut scratch, &mut strategy, &mut rng, &mut NoHooks).unwrap();
             steps += out.steps;
             black_box(out);
         }
         let (calls, bytes) = alloc::counts();
 
-        // The batched SoA kernel under the same contract: warm every
+        // The batched driver under the same contract: warm every
         // lane (and the reused output buffer) to steady state, then
         // require zero allocations across the measured batches.
         const LANES: u64 = 32;

@@ -45,7 +45,8 @@ fn main() {
             let mut steps = 0u64;
             for i in 0..PATHS {
                 let mut rng = path_rng(7, i);
-                steps += gen.generate_with(scratch, strategy, &mut rng).unwrap().steps;
+                steps +=
+                    gen.generate_with(scratch, strategy, &mut rng, &mut NoHooks).unwrap().steps;
             }
             (start.elapsed().as_secs_f64(), steps)
         };

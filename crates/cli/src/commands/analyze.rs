@@ -455,7 +455,7 @@ fn print_sample_path(
     let outcome = {
         let mut tracer = PathTracer::new(net, &mut sink);
         tracer.emit(start_event(args, config, property, 0));
-        gen.generate_traced(strategy.as_mut(), &mut rng, &mut tracer)
+        gen.generate_with(&mut SimScratch::new(), strategy.as_mut(), &mut rng, &mut tracer)
     }
     .map_err(|e| e.to_string())?;
     if let Some(path) = csv_path {

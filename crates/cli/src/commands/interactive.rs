@@ -111,12 +111,12 @@ pub fn run(args: &Args) -> Result<(), String> {
             let choices = parse_script(&text)?;
             println!("replaying {} scripted decisions from {path}", choices.len());
             let mut strategy = Input::new(ScriptedOracle::new(choices));
-            gen.generate_traced(&mut strategy, &mut rng, &mut tracer)
+            gen.generate_with(&mut SimScratch::new(), &mut strategy, &mut rng, &mut tracer)
         } else {
             println!("interactive simulation — P(◇[0,{bound}] goal); you are the strategy.");
             println!("(Markovian transitions still race with your schedule.)");
             let mut strategy = Input::new(StdinOracle);
-            gen.generate_traced(&mut strategy, &mut rng, &mut tracer)
+            gen.generate_with(&mut SimScratch::new(), &mut strategy, &mut rng, &mut tracer)
         }
     };
     match result {

@@ -48,3 +48,31 @@ pub fn run(args: &Args) -> Result<(), String> {
     }
     Ok(())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(s: &str) -> Args {
+        Args::parse(s.split_whitespace().map(str::to_string))
+    }
+
+    #[test]
+    fn invalid_numeric_flags_are_diagnostics_not_panics() {
+        let base = "rare voting --bound 1.0 --quiet --max-paths 10";
+        for (flag, diagnostic) in [
+            ("--boost 0", "boost must be positive"),
+            ("--boost -3", "boost must be positive"),
+            ("--boost nan", "boost must be positive"),
+            ("--rel-err 0", "relative error must be positive"),
+            ("--delta 0", "confidence must lie strictly between 0 and 1"),
+            ("--delta 1.5", "confidence must lie strictly between 0 and 1"),
+        ] {
+            // `run`'s `Err` is what `main` prints as `error: …` before
+            // exiting with status 1; a panic would fail this test instead.
+            let err = run(&args(&format!("{base} {flag}"))).expect_err(flag);
+            assert!(err.contains(diagnostic), "{flag}: {err}");
+        }
+        run(&args(base)).expect("valid flags still run");
+    }
+}

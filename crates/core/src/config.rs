@@ -34,12 +34,11 @@ pub struct SimConfig {
     pub seed: u64,
     /// Number of worker threads (1 = sequential).
     pub workers: usize,
-    /// Lane width of the batched path kernel: each worker steps up to
-    /// this many paths at once through the shared step tables
-    /// (structure-of-arrays, one RNG stream per lane). `1` disables
-    /// batching. Lane-by-lane determinism makes the estimate independent
-    /// of this knob — it only trades dispatch overhead against per-lane
-    /// state footprint.
+    /// Lane width of the batched path driver: each worker generates up
+    /// to this many paths per driver call on one shared scratch (one RNG
+    /// stream per lane). `1` disables batching. Lane-by-lane determinism
+    /// makes the estimate independent of this knob — it only amortizes
+    /// per-call dispatch and observer flushing over more paths.
     pub batch_lanes: usize,
     /// Consult the static fixpoint analysis before sampling and
     /// short-circuit with an exact `P = 0` / `P = 1` when it decides the

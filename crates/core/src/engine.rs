@@ -10,12 +10,17 @@
 //! * the property's time bound elapses,
 //! * a deadlock or timelock is reached (§III-D), or
 //! * the per-path step limit trips (Zeno guard).
+//!
+//! There is one step loop. Everything layered over it — tracing,
+//! observer metrics, kernel profiling, the importance-sampling bias —
+//! is a [`PathHooks`] impl the loop is monomorphized over, so the
+//! production instantiation [`NoHooks`] compiles to the un-instrumented
+//! loop.
 
 use crate::error::SimError;
-use crate::obs::{PathDetail, SimObserver};
+use crate::obs::{PathObserver, SimObserver};
 use crate::property::{CompiledGoal, GoalPool, TimedReach};
 use crate::strategy::{Decision, ScheduledCandidate, StepView, Strategy};
-use crate::trace::PathTracer;
 use crate::verdict::{PathOutcome, Verdict};
 use slim_automata::automaton::{ActionId, ProcId, TransId};
 use slim_automata::error::EvalError;
@@ -24,16 +29,144 @@ use slim_automata::network::GlobalTransition;
 use slim_automata::prelude::{
     CompileOptions, NetState, Network, StepScratch, StepTables, Valuation,
 };
-use slim_obs::profile::{NoopProfile, ProfileHooks};
+use slim_obs::profile::{KernelProfile, ProfileHooks};
 use slim_stats::rng::{exponential_from_uniform, path_rng, StdRng};
+
+/// Callbacks the engine loop makes while it generates paths.
+///
+/// A hook type is also the [`ProfileHooks`] sink of every kernel call
+/// and carries the importance-sampling bias. Every callback defaults to
+/// a no-op and the drivers are generic over the hook type, so hooks cost
+/// nothing they do not use. Hooks never touch the RNG or the step logic:
+/// a path's outcome is the same under every hook type.
+///
+/// Per engine step the loop calls [`Self::decision`], then — unless the
+/// path ends in that step — [`Self::delay`] if time passes,
+/// [`Self::fire`] if a transition fires, and [`Self::snapshot`] once the
+/// step is applied. Each path ends with [`Self::path_end`], and each
+/// driver call with one [`ProfileHooks::batch`] carrying the per-path
+/// step counts sorted descending (a scalar call is a one-path batch).
+pub trait PathHooks: ProfileHooks {
+    /// Multiplier applied to every Markovian rate (importance sampling);
+    /// `1` simulates the true measure. Must be positive and finite.
+    #[inline]
+    fn bias(&self) -> f64 {
+        1.0
+    }
+
+    /// The strategy decided `decision` over the scheduled `candidates`.
+    #[inline]
+    fn decision(
+        &mut self,
+        step: u64,
+        state: &NetState,
+        decision: &Decision,
+        candidates: &[ScheduledCandidate],
+    ) {
+        let _ = (step, state, decision, candidates);
+    }
+
+    /// Time is about to pass by `duration` from `state`.
+    #[inline]
+    fn delay(&mut self, step: u64, state: &NetState, duration: f64) {
+        let _ = (step, state, duration);
+    }
+
+    /// The transition with `action` and `parts` is about to fire in
+    /// `state`. `race` is the winner's rate and the total exit rate of a
+    /// Markovian firing, `None` for a guarded one.
+    #[inline]
+    fn fire(
+        &mut self,
+        step: u64,
+        state: &NetState,
+        action: ActionId,
+        parts: &[(ProcId, TransId)],
+        race: Option<(f64, f64)>,
+    ) {
+        let _ = (step, state, action, parts, race);
+    }
+
+    /// The step's delay or firing has been applied, leaving `state`.
+    #[inline]
+    fn snapshot(&mut self, step: u64, state: &NetState) {
+        let _ = (step, state);
+    }
+
+    /// The path ended with `result`. `weight` is its likelihood ratio
+    /// (true over biased measure), exactly `1` under bias `1`.
+    #[inline]
+    fn path_end(&mut self, result: &Result<PathOutcome, SimError>, weight: f64) {
+        let _ = (result, weight);
+    }
+}
+
+/// The production instantiation: no callbacks, no profiling, no bias.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoHooks;
+
+impl ProfileHooks for NoHooks {
+    const ENABLED: bool = false;
+}
+
+impl PathHooks for NoHooks {}
+
+/// Kernel profiling: every kernel counter — opcodes, digrams, guard
+/// outcomes, firings, location occupancy, delay solves, lane use — is
+/// recorded into the profile.
+impl PathHooks for KernelProfile {}
+
+/// Importance sampling: every Markovian rate is multiplied by the bias,
+/// and each path's likelihood ratio (true measure over biased measure)
+/// is recorded in path order. With bias `> 1` rare fault-driven events
+/// become frequent; the weighted indicator `w·1[success]` remains an
+/// unbiased estimate of the true probability (see `rare_event`).
+#[derive(Debug, Clone)]
+pub struct ImportanceBias {
+    bias: f64,
+    weights: Vec<f64>,
+}
+
+impl ImportanceBias {
+    /// A hook simulating under rate multiplier `bias`, which must be
+    /// positive and finite (`analyze_rare` validates its input).
+    pub fn new(bias: f64) -> ImportanceBias {
+        ImportanceBias { bias, weights: Vec::new() }
+    }
+
+    /// The likelihood ratios of the paths generated since the last
+    /// [`Self::clear`], in generation order.
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
+    }
+
+    /// Forgets the recorded weights (keeping their buffer).
+    pub fn clear(&mut self) {
+        self.weights.clear();
+    }
+}
+
+impl ProfileHooks for ImportanceBias {
+    const ENABLED: bool = false;
+}
+
+impl PathHooks for ImportanceBias {
+    fn bias(&self) -> f64 {
+        self.bias
+    }
+
+    fn path_end(&mut self, _result: &Result<PathOutcome, SimError>, weight: f64) {
+        self.weights.push(weight);
+    }
+}
 
 /// Generates sample paths for one (network, property) pair.
 ///
 /// Construction compiles the network into [`StepTables`] and the property
 /// into [`CompiledGoal`]s once; every generated path then runs on the
-/// allocation-free stepping kernel. Pass a reusable [`SimScratch`] to the
-/// `*_with` variants to make steady-state path generation heap-allocation
-/// free; the plain variants allocate a fresh scratch per call.
+/// allocation-free stepping kernel. Reusing a [`SimScratch`] (or a
+/// [`BatchScratch`]) across calls makes steady-state path generation
+/// heap-allocation free.
 #[derive(Debug, Clone)]
 pub struct PathGenerator<'a> {
     net: &'a Network,
@@ -43,6 +176,11 @@ pub struct PathGenerator<'a> {
     goal: CompiledGoal,
     hold: Option<CompiledGoal>,
     initial: Result<NetState, EvalError>,
+    /// Margin past the horizon for truncating unbounded enabling
+    /// windows: any delay beyond the remaining bound is
+    /// verdict-equivalent, so the exact cap does not affect outcomes
+    /// (see docs/semantics.md).
+    margin: f64,
 }
 
 /// Reusable per-worker workspace for the engine loop: the network-level
@@ -73,7 +211,7 @@ impl SimScratch {
         SimScratch {
             step: StepScratch::new(),
             pool: GoalPool::new(),
-            state: NetState::new(Vec::new(), Valuation::new(Vec::new())),
+            state: empty_state(),
             goal_win: IntervalSet::empty(),
             viol_win: IntervalSet::empty(),
             hold_win: IntervalSet::empty(),
@@ -95,6 +233,11 @@ impl Default for SimScratch {
     }
 }
 
+/// A state with no locations and no variables (does not allocate).
+fn empty_state() -> NetState {
+    NetState::new(Vec::new(), Valuation::new(Vec::new()))
+}
+
 /// Acquires the next scheduled-candidate slot, reusing retired buffers
 /// (their `parts` and `window` capacity survives across steps).
 fn next_sched<'a>(
@@ -112,30 +255,29 @@ fn next_sched<'a>(
     slot
 }
 
+/// One path in flight: its state, the engine steps taken so far and the
+/// log-likelihood ratio accumulated under the hooks' bias.
+struct Walk {
+    state: NetState,
+    steps: u64,
+    log_weight: f64,
+}
+
 /// Which transition a resolved step fires.
 enum FireSrc {
     /// Index into the scheduled-candidate pool.
     Guarded(usize),
-    /// The winning Markovian transition.
-    Markov((ProcId, TransId)),
+    /// The winning Markovian transition, with its own rate and the
+    /// total race exit rate.
+    Markov((ProcId, TransId), (f64, f64)),
 }
 
 /// How a step resolved after racing the strategy's schedule against the
 /// Markovian transitions.
 enum Resolved {
-    Fire {
-        delay: f64,
-        src: FireSrc,
-        /// Winner's own rate and the total race exit rate (Markovian only).
-        rates: Option<(f64, f64)>,
-    },
-    Wait {
-        delay: f64,
-    },
-    Lock {
-        verdict: Verdict,
-        horizon: f64,
-    },
+    Fire { delay: f64, src: FireSrc },
+    Wait { delay: f64 },
+    Lock { verdict: Verdict, horizon: f64 },
 }
 
 impl<'a> PathGenerator<'a> {
@@ -158,7 +300,8 @@ impl<'a> PathGenerator<'a> {
         let goal = property.goal.compile_with(net, opts);
         let hold = property.hold.as_ref().map(|h| h.compile_with(net, opts));
         let initial = net.initial_state();
-        PathGenerator { net, property, max_steps, tables, goal, hold, initial }
+        let margin = (0.1 * property.bound).max(1.0);
+        PathGenerator { net, property, max_steps, tables, goal, hold, initial, margin }
     }
 
     /// The compiled step tables driving this generator.
@@ -176,7 +319,7 @@ impl<'a> PathGenerator<'a> {
         self.property
     }
 
-    /// Generates one path.
+    /// Generates one path on a fresh scratch, without hooks.
     ///
     /// # Errors
     /// Evaluation errors (invariant already violated, non-linear guards)
@@ -186,267 +329,186 @@ impl<'a> PathGenerator<'a> {
         strategy: &mut dyn Strategy,
         rng: &mut StdRng,
     ) -> Result<PathOutcome, SimError> {
-        self.generate_with(&mut SimScratch::new(), strategy, rng)
+        self.generate_with(&mut SimScratch::new(), strategy, rng, &mut NoHooks)
     }
 
-    /// [`Self::generate`] on a caller-supplied scratch: reusing the same
-    /// scratch across paths keeps the hot loop allocation-free.
+    /// Generates one path on a caller-supplied scratch, driving `hooks`
+    /// (see [`PathHooks`]). Reusing the same scratch across paths keeps
+    /// the loop allocation-free; the outcome does not depend on the hook
+    /// type.
     ///
     /// # Errors
     /// See [`Self::generate`].
-    pub fn generate_with(
+    pub fn generate_with<H: PathHooks>(
         &self,
         scratch: &mut SimScratch,
         strategy: &mut dyn Strategy,
         rng: &mut StdRng,
+        hooks: &mut H,
     ) -> Result<PathOutcome, SimError> {
-        self.run(scratch, strategy, rng, None, 1.0, None, &mut NoopProfile)
-            .map(|(outcome, _)| outcome)
+        let (result, steps) = self.run_path(scratch, strategy, rng, hooks);
+        hooks.batch(&[steps]);
+        result
     }
 
-    /// Generates one path, flushing per-path metrics (steps, firings,
-    /// strategy decisions, wall time) to `obs` when present. With
-    /// `obs == None` this is exactly [`Self::generate`]: the observer is
-    /// consulted only after the path ends and never touches the RNG, so
-    /// instrumentation cannot perturb seeded reproducibility.
+    /// Generates `count` paths with indices `start`, `start + stride`,
+    /// `start + 2·stride`, … on one scratch, clearing `out` and pushing
+    /// one result per path in index order, driving `hooks` throughout.
     ///
-    /// # Errors
-    /// See [`Self::generate`].
-    pub fn generate_observed(
-        &self,
-        strategy: &mut dyn Strategy,
-        rng: &mut StdRng,
-        obs: Option<&SimObserver>,
-    ) -> Result<PathOutcome, SimError> {
-        self.generate_observed_with(&mut SimScratch::new(), strategy, rng, obs)
-    }
-
-    /// [`Self::generate_observed`] on a caller-supplied scratch.
-    ///
-    /// # Errors
-    /// See [`Self::generate`].
-    pub fn generate_observed_with(
-        &self,
-        scratch: &mut SimScratch,
-        strategy: &mut dyn Strategy,
-        rng: &mut StdRng,
-        obs: Option<&SimObserver>,
-    ) -> Result<PathOutcome, SimError> {
-        let Some(obs) = obs else {
-            return self.generate_with(scratch, strategy, rng);
-        };
-        let start = std::time::Instant::now();
-        let mut detail = PathDetail::default();
-        let result =
-            self.run(scratch, strategy, rng, None, 1.0, Some(&mut detail), &mut NoopProfile);
-        if let Ok((outcome, _)) = &result {
-            detail.nanos = start.elapsed().as_nanos() as u64;
-            obs.record_path(outcome, &detail);
-        }
-        result.map(|(outcome, _)| outcome)
-    }
-
-    /// Generates one path, recording structured events on the tracer:
-    /// strategy decisions, delays, firings (with Markovian race rates),
-    /// valuation snapshots per [`crate::trace::TraceOptions`], and the
-    /// final verdict.
-    ///
-    /// # Errors
-    /// See [`Self::generate`].
-    pub fn generate_traced(
-        &self,
-        strategy: &mut dyn Strategy,
-        rng: &mut StdRng,
-        tracer: &mut PathTracer<'_>,
-    ) -> Result<PathOutcome, SimError> {
-        self.generate_traced_with(&mut SimScratch::new(), strategy, rng, tracer)
-    }
-
-    /// [`Self::generate_traced`] on a caller-supplied scratch.
-    ///
-    /// # Errors
-    /// See [`Self::generate`].
-    pub fn generate_traced_with(
-        &self,
-        scratch: &mut SimScratch,
-        strategy: &mut dyn Strategy,
-        rng: &mut StdRng,
-        tracer: &mut PathTracer<'_>,
-    ) -> Result<PathOutcome, SimError> {
-        let outcome =
-            self.run(scratch, strategy, rng, Some(&mut *tracer), 1.0, None, &mut NoopProfile)?.0;
-        tracer.verdict(&outcome);
-        Ok(outcome)
-    }
-
-    /// Generates one path under an **importance-sampling bias**: every
-    /// Markovian rate is multiplied by `bias` during simulation, and the
-    /// returned weight is the likelihood ratio of the generated
-    /// trajectory (true measure over biased measure). With `bias > 1`
-    /// rare fault-driven events become frequent; the weighted indicator
-    /// `w·1[success]` remains an unbiased estimate of the true
-    /// probability (see `rare_event`).
-    ///
-    /// # Errors
-    /// See [`Self::generate`].
+    /// Lane `j` consumes exactly the RNG stream `path_rng(seed, start +
+    /// stride·j)`, so its outcome is bit-identical to
+    /// [`Self::generate_with`] on that stream, independent of the lane
+    /// count. The contract assumes a memoryless `strategy` (all built-in
+    /// [`crate::strategy::StrategyKind`]s are). A lane hitting a
+    /// simulation error records `Err` in its slot without disturbing the
+    /// other lanes.
     ///
     /// # Panics
-    /// Panics unless `bias > 0`.
-    pub fn generate_biased(
-        &self,
-        strategy: &mut dyn Strategy,
-        rng: &mut StdRng,
-        bias: f64,
-    ) -> Result<(PathOutcome, f64), SimError> {
-        self.generate_biased_with(&mut SimScratch::new(), strategy, rng, bias)
-    }
-
-    /// [`Self::generate_biased`] on a caller-supplied scratch.
-    ///
-    /// # Errors
-    /// See [`Self::generate`].
-    ///
-    /// # Panics
-    /// Panics unless `bias > 0`.
-    pub fn generate_biased_with(
-        &self,
-        scratch: &mut SimScratch,
-        strategy: &mut dyn Strategy,
-        rng: &mut StdRng,
-        bias: f64,
-    ) -> Result<(PathOutcome, f64), SimError> {
-        assert!(bias > 0.0 && bias.is_finite(), "bias must be positive, got {bias}");
-        self.run(scratch, strategy, rng, None, bias, None, &mut NoopProfile)
-    }
-
-    /// [`Self::generate_with`] under a profiling sink: the generated path
-    /// is bit-identical to the unprofiled one (hooks never touch the RNG
-    /// or the step logic), with every kernel counter — opcodes, digrams,
-    /// guard outcomes, firings, location occupancy, delay solves —
-    /// recorded into `prof`.
-    ///
-    /// # Errors
-    /// See [`Self::generate`].
-    pub fn generate_profiled_with<P: ProfileHooks>(
-        &self,
-        scratch: &mut SimScratch,
-        strategy: &mut dyn Strategy,
-        rng: &mut StdRng,
-        prof: &mut P,
-    ) -> Result<PathOutcome, SimError> {
-        self.run(scratch, strategy, rng, None, 1.0, None, prof).map(|(outcome, _)| outcome)
-    }
-
-    /// The common engine loop; returns the outcome and the likelihood
-    /// ratio `exp(log_weight)` of the path under rate bias `bias`.
-    ///
-    /// Runs entirely on the compiled kernel: per-step windows, candidate
-    /// sets and state updates live in `s` and are recycled across steps
-    /// and paths, so steady-state execution performs no heap allocation.
+    /// Panics when `stride == 0` while `count > 1` (the lanes would alias
+    /// one RNG stream).
     #[allow(clippy::too_many_arguments)]
-    fn run<P: ProfileHooks>(
+    pub fn generate_batch_hooked<H: PathHooks>(
+        &self,
+        scratch: &mut BatchScratch,
+        strategy: &mut dyn Strategy,
+        seed: u64,
+        start: u64,
+        stride: u64,
+        count: usize,
+        hooks: &mut H,
+        out: &mut Vec<Result<PathOutcome, SimError>>,
+    ) {
+        assert!(stride > 0 || count <= 1, "stride must be positive for multi-lane batches");
+        out.clear();
+        scratch.lane_steps.clear();
+        // Each lane runs to completion in index order. Lanes consume
+        // disjoint RNG streams and never read each other's state, so the
+        // order is unobservable — and completion order keeps the lane's
+        // state hot in cache and the interpreter's branch history
+        // coherent.
+        for j in 0..count as u64 {
+            let mut rng = path_rng(seed, start + stride * j);
+            let (result, steps) = self.run_path(&mut scratch.sim, strategy, &mut rng, hooks);
+            out.push(result);
+            scratch.lane_steps.push(steps);
+        }
+        if count > 0 {
+            scratch.lane_steps.sort_unstable_by(|a, b| b.cmp(a));
+            hooks.batch(&scratch.lane_steps);
+        }
+    }
+
+    /// [`Self::generate_batch_hooked`] with the observer as the only
+    /// hook. With `obs` present, per-path metrics are flushed for every
+    /// successful lane, and the batch's wall time is attributed evenly
+    /// across its lanes.
+    ///
+    /// # Panics
+    /// Panics when `stride == 0` while `count > 1`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn generate_batch_with(
+        &self,
+        scratch: &mut BatchScratch,
+        strategy: &mut dyn Strategy,
+        seed: u64,
+        start: u64,
+        stride: u64,
+        count: usize,
+        obs: Option<&SimObserver>,
+        out: &mut Vec<Result<PathOutcome, SimError>>,
+    ) {
+        let Some(obs) = obs else {
+            self.generate_batch_hooked(
+                scratch,
+                strategy,
+                seed,
+                start,
+                stride,
+                count,
+                &mut NoHooks,
+                out,
+            );
+            return;
+        };
+        let mut hooks = PathObserver::new(obs);
+        self.generate_batch_hooked(scratch, strategy, seed, start, stride, count, &mut hooks, out);
+    }
+
+    /// Runs one path to its end, returning its result and the number of
+    /// engine steps taken.
+    fn run_path<H: PathHooks>(
         &self,
         s: &mut SimScratch,
         strategy: &mut dyn Strategy,
         rng: &mut StdRng,
-        mut tracer: Option<&mut PathTracer<'_>>,
-        bias: f64,
-        mut detail: Option<&mut PathDetail>,
-        prof: &mut P,
-    ) -> Result<(PathOutcome, f64), SimError> {
-        // Lend the scratch-owned state buffer to the shared step function,
-        // which borrows the state and the scratch separately so the
-        // batched kernel can drive it lane by lane. `NetState::new` on
-        // empty vectors does not allocate, and the buffer (with its grown
-        // capacity) is handed back before returning.
-        let mut state =
-            std::mem::replace(&mut s.state, NetState::new(Vec::new(), Valuation::new(Vec::new())));
-        let mut log_weight = 0.0f64;
-        let mut steps: u64 = 0;
+        hooks: &mut H,
+    ) -> (Result<PathOutcome, SimError>, u64) {
+        // Lend the scratch-owned state buffer to the path, which the step
+        // function borrows separately from the scratch; the buffer (with
+        // its grown capacity) is handed back before returning.
+        let state = std::mem::replace(&mut s.state, empty_state());
+        let mut walk = Walk { state, steps: 0, log_weight: 0.0 };
         let result = match &self.initial {
             Ok(init) => {
-                state.copy_from(init);
-                let margin = step_margin(self.property);
+                walk.state.copy_from(init);
                 loop {
-                    match self.step_path(
-                        s,
-                        &mut state,
-                        strategy,
-                        rng,
-                        &mut tracer,
-                        bias,
-                        &mut detail,
-                        &mut steps,
-                        &mut log_weight,
-                        margin,
-                        prof,
-                    ) {
-                        Ok(None) => {}
-                        Ok(Some(outcome)) => break Ok((outcome, log_weight.exp())),
-                        Err(e) => break Err(e),
+                    if let Some(end) = self.step(s, &mut walk, strategy, rng, hooks).transpose() {
+                        break end;
                     }
                 }
             }
             Err(e) => Err(SimError::Eval(e.clone())),
         };
-        s.state = state;
-        result
+        hooks.path_end(&result, walk.log_weight.exp());
+        s.state = walk.state;
+        (result, walk.steps)
     }
 
     /// Advances one path by **one engine step** on the compiled kernel:
     /// refreshes the flow rates once, computes the goal/hold windows and
     /// the candidate sets against that shared rate buffer, races the
     /// strategy's schedule against the Markovian transitions, and applies
-    /// the resolved delay/firing to `state`.
+    /// the resolved delay/firing to the path's state.
     ///
     /// Returns `Ok(None)` while the path continues and `Ok(Some(..))`
-    /// when it ends. Both the scalar `generate*` family and the batched
-    /// [`Self::generate_batch_with`] kernel drive this exact function,
-    /// which is what makes batched generation bit-identical to scalar
-    /// generation lane by lane.
-    #[allow(clippy::too_many_arguments)]
-    fn step_path<P: ProfileHooks>(
+    /// when it ends.
+    fn step<H: PathHooks>(
         &self,
         s: &mut SimScratch,
-        state: &mut NetState,
+        walk: &mut Walk,
         strategy: &mut dyn Strategy,
         rng: &mut StdRng,
-        tracer: &mut Option<&mut PathTracer<'_>>,
-        bias: f64,
-        detail: &mut Option<&mut PathDetail>,
-        steps: &mut u64,
-        log_weight: &mut f64,
-        margin: f64,
-        prof: &mut P,
+        hooks: &mut H,
     ) -> Result<Option<PathOutcome>, SimError> {
-        if *steps >= self.max_steps {
+        let state = &mut walk.state;
+        if walk.steps >= self.max_steps {
             return Ok(Some(PathOutcome {
                 verdict: Verdict::StepLimit,
-                steps: *steps,
+                steps: walk.steps,
                 end_time: state.time,
             }));
         }
-        *steps += 1;
-        let steps_now = *steps;
+        walk.steps += 1;
+        let steps_now = walk.steps;
 
         // Location occupancy: one tick per (process, current location)
         // per engine step. The `ENABLED` guard keeps the unprofiled
         // instantiation free of the per-process loop entirely.
-        if P::ENABLED {
+        if H::ENABLED {
             for (p, loc) in state.locs.iter().enumerate() {
-                prof.loc_step(p, loc.0);
+                hooks.loc_step(p, loc.0);
             }
         }
 
         // One rate refresh serves the whole step: rates depend only on
         // the locations, which no delay changes (see
-        // `Network::rates_refresh`), so every `*_rated` call below
+        // `Network::rates_refresh`), so every `*_rated_prof` call below
         // reuses this buffer bit-identically to a per-call refresh.
         self.net.rates_refresh(&self.tables, &mut s.step, state);
 
         let remaining = self.property.remaining(state);
         self.goal
-            .window_rated_prof(self.net, &mut s.step, &mut s.pool, state, &mut s.goal_win, prof)
+            .window_rated_prof(self.net, &mut s.step, &mut s.pool, state, &mut s.goal_win, hooks)
             .map_err(SimError::Eval)?;
         // For bounded until: the set of delays at which `hold` is
         // violated (empty for plain reachability).
@@ -459,7 +521,7 @@ impl<'a> PathGenerator<'a> {
                     &mut s.pool,
                     state,
                     &mut s.hold_win,
-                    prof,
+                    hooks,
                 )
                 .map_err(SimError::Eval)?;
                 s.hold_win.complement_into(&mut s.viol_win);
@@ -488,14 +550,13 @@ impl<'a> PathGenerator<'a> {
         }
 
         self.net
-            .delay_window_rated_prof(&self.tables, &mut s.step, state, &mut s.inv_window, prof)
+            .delay_window_rated_prof(&self.tables, &mut s.step, state, &mut s.inv_window, hooks)
             .map_err(SimError::Eval)?;
-        let cap = remaining + margin;
+        let cap = remaining + self.margin;
 
         self.net
-            .guarded_candidates_rated_prof(&self.tables, &mut s.step, state, prof)
+            .guarded_candidates_rated_prof(&self.tables, &mut s.step, state, hooks)
             .map_err(SimError::Eval)?;
-
         // Urgency (AADL-eager transitions): time may not pass beyond
         // the first instant an urgent candidate becomes enabled.
         let mut urgency_cutoff = f64::INFINITY;
@@ -552,21 +613,12 @@ impl<'a> PathGenerator<'a> {
             },
             rng,
         )?;
-        if let Some(t) = tracer.as_deref_mut() {
-            t.decision(steps_now, state, &decision, &s.sched[..s.n_sched]);
-        }
-        if let Some(d) = detail.as_deref_mut() {
-            match &decision {
-                Decision::Fire { .. } => d.decisions_fire += 1,
-                Decision::Wait { .. } => d.decisions_wait += 1,
-                Decision::Stuck => d.decisions_stuck += 1,
-                Decision::Abort => {}
-            }
-        }
+        hooks.decision(steps_now, state, &decision, &s.sched[..s.n_sched]);
 
         // Markovian race: total-rate exponential + categorical winner.
         // Under importance sampling all rates are scaled by `bias`
         // (the winner distribution is unchanged — scaling is uniform).
+        let bias = hooks.bias();
         let m_sample: Option<(f64, (ProcId, TransId), f64, f64)> = {
             let markovian = s.step.markovian();
             if markovian.is_empty() {
@@ -599,48 +651,36 @@ impl<'a> PathGenerator<'a> {
             Decision::Abort => return Err(SimError::InputAborted),
             Decision::Fire { delay, candidate } => match m_sample {
                 Some((t, mt, total, rate)) if t < delay => {
-                    *log_weight += lr_fire(t, total);
-                    Resolved::Fire {
-                        delay: t,
-                        src: FireSrc::Markov(mt),
-                        rates: Some((rate, total)),
-                    }
+                    walk.log_weight += lr_fire(t, total);
+                    Resolved::Fire { delay: t, src: FireSrc::Markov(mt, (rate, total)) }
                 }
                 m => {
                     if let Some((_, _, total, _)) = m {
-                        *log_weight += lr_censor(delay, total);
+                        walk.log_weight += lr_censor(delay, total);
                     }
-                    Resolved::Fire { delay, src: FireSrc::Guarded(candidate), rates: None }
+                    Resolved::Fire { delay, src: FireSrc::Guarded(candidate) }
                 }
             },
             Decision::Wait { delay } => match m_sample {
                 Some((t, mt, total, rate)) if t < delay => {
-                    *log_weight += lr_fire(t, total);
-                    Resolved::Fire {
-                        delay: t,
-                        src: FireSrc::Markov(mt),
-                        rates: Some((rate, total)),
-                    }
+                    walk.log_weight += lr_fire(t, total);
+                    Resolved::Fire { delay: t, src: FireSrc::Markov(mt, (rate, total)) }
                 }
                 m => {
                     if let Some((_, _, total, _)) = m {
-                        *log_weight += lr_censor(delay, total);
+                        walk.log_weight += lr_censor(delay, total);
                     }
                     Resolved::Wait { delay }
                 }
             },
             Decision::Stuck => match m_sample {
                 Some((t, mt, total, rate)) if s.window.contains(t) => {
-                    *log_weight += lr_fire(t, total);
-                    Resolved::Fire {
-                        delay: t,
-                        src: FireSrc::Markov(mt),
-                        rates: Some((rate, total)),
-                    }
+                    walk.log_weight += lr_fire(t, total);
+                    Resolved::Fire { delay: t, src: FireSrc::Markov(mt, (rate, total)) }
                 }
                 Some((_, _, total, _)) => {
                     let horizon = s.window.sup().unwrap_or(0.0);
-                    *log_weight += lr_censor(horizon, total);
+                    walk.log_weight += lr_censor(horizon, total);
                     Resolved::Lock { verdict: Verdict::Timelock, horizon }
                 }
                 None => {
@@ -658,7 +698,7 @@ impl<'a> PathGenerator<'a> {
         };
 
         match resolved {
-            Resolved::Fire { delay, src, rates } => {
+            Resolved::Fire { delay, src } => {
                 match scan_delay(&s.goal_win, &s.viol_win, delay.min(remaining), &mut s.tmp) {
                     Scan::Goal(hit) => {
                         return Ok(Some(PathOutcome {
@@ -684,9 +724,7 @@ impl<'a> PathGenerator<'a> {
                     }));
                 }
                 if delay > 0.0 {
-                    if let Some(t) = tracer.as_deref_mut() {
-                        t.delay(steps_now, state, delay);
-                    }
+                    hooks.delay(steps_now, state, delay);
                     self.net
                         .advance_rated_prof(
                             &self.tables,
@@ -694,54 +732,26 @@ impl<'a> PathGenerator<'a> {
                             state,
                             delay,
                             &s.inv_window,
-                            prof,
+                            hooks,
                         )
                         .map_err(SimError::Eval)?;
                 }
-                let is_markov = matches!(src, FireSrc::Markov(_));
-                if let Some(t) = tracer.as_deref_mut() {
-                    // Cold path: materialize the transition only when
-                    // a tracer asks for it.
-                    let gt = match &src {
-                        FireSrc::Guarded(i) => s.sched[*i].transition.clone(),
-                        FireSrc::Markov((p, t_id)) => {
-                            GlobalTransition { action: ActionId::TAU, parts: vec![(*p, *t_id)] }
-                        }
-                    };
-                    let (rate, rate_total) = match rates {
-                        Some((r, total)) => (Some(r), Some(total)),
-                        None => (None, None),
-                    };
-                    t.fire(steps_now, state, &gt, is_markov, rate, rate_total);
-                }
-                match src {
-                    FireSrc::Guarded(i) => self
-                        .net
-                        .apply_mut_prof(
-                            &self.tables,
-                            &mut s.step,
-                            state,
-                            &s.sched[i].transition.parts,
-                            prof,
-                        )
-                        .map_err(SimError::Eval)?,
-                    FireSrc::Markov((p, t_id)) => {
-                        let parts = [(p, t_id)];
-                        self.net
-                            .apply_mut_prof(&self.tables, &mut s.step, state, &parts, prof)
-                            .map_err(SimError::Eval)?;
+                let markov_parts;
+                let (action, parts, race) = match src {
+                    FireSrc::Guarded(i) => {
+                        let t = &s.sched[i].transition;
+                        (t.action, t.parts.as_slice(), None)
                     }
-                }
-                if let Some(t) = tracer.as_deref_mut() {
-                    t.snapshot(steps_now, state);
-                }
-                if let Some(d) = detail.as_deref_mut() {
-                    if is_markov {
-                        d.fires_markovian += 1;
-                    } else {
-                        d.fires_guarded += 1;
+                    FireSrc::Markov(part, race) => {
+                        markov_parts = [part];
+                        (ActionId::TAU, markov_parts.as_slice(), Some(race))
                     }
-                }
+                };
+                hooks.fire(steps_now, state, action, parts, race);
+                self.net
+                    .apply_mut_prof(&self.tables, &mut s.step, state, parts, hooks)
+                    .map_err(SimError::Eval)?;
+                hooks.snapshot(steps_now, state);
             }
             Resolved::Wait { delay } => {
                 match scan_delay(&s.goal_win, &s.viol_win, delay.min(remaining), &mut s.tmp) {
@@ -768,9 +778,7 @@ impl<'a> PathGenerator<'a> {
                         end_time: self.property.bound,
                     }));
                 }
-                if let Some(t) = tracer.as_deref_mut() {
-                    t.delay(steps_now, state, delay);
-                }
+                hooks.delay(steps_now, state, delay);
                 self.net
                     .advance_rated_prof(
                         &self.tables,
@@ -778,15 +786,10 @@ impl<'a> PathGenerator<'a> {
                         state,
                         delay,
                         &s.inv_window,
-                        prof,
+                        hooks,
                     )
                     .map_err(SimError::Eval)?;
-                if let Some(t) = tracer.as_deref_mut() {
-                    t.snapshot(steps_now, state);
-                }
-                if let Some(d) = detail.as_deref_mut() {
-                    d.waits += 1;
-                }
+                hooks.snapshot(steps_now, state);
             }
             Resolved::Lock { verdict, horizon } => {
                 match scan_delay(&s.goal_win, &s.viol_win, horizon.min(remaining), &mut s.tmp) {
@@ -811,283 +814,30 @@ impl<'a> PathGenerator<'a> {
         }
         Ok(None)
     }
-
-    /// Generates `count` paths with indices `start`, `start + stride`,
-    /// `start + 2·stride`, … on the **batched structure-of-arrays
-    /// kernel**, clearing `out` and pushing one result per path in index
-    /// order.
-    ///
-    /// Lane `j` consumes exactly the RNG stream `path_rng(seed, start +
-    /// stride·j)` and is advanced by the same step function the scalar
-    /// `generate*` family uses, so every lane's outcome is bit-identical
-    /// to `generate_with` on that stream — independent of the lane count
-    /// and of how the other lanes terminate. Lanes that end early simply
-    /// drop out of the sweep while the rest keep stepping (the scalar
-    /// drain). The lane-exactness contract assumes a memoryless
-    /// `strategy` (all built-in [`crate::strategy::StrategyKind`]s are);
-    /// traced paths must use the scalar [`Self::generate_traced_with`],
-    /// since a trace follows a single path.
-    ///
-    /// A lane hitting a simulation error records `Err` in its slot
-    /// without disturbing the other lanes. With `obs` present, per-path
-    /// metrics are flushed for every successful lane; wall time is
-    /// attributed as the batch's elapsed time divided evenly across its
-    /// lanes.
-    ///
-    /// # Panics
-    /// Panics when `stride == 0` while `count > 1` (the lanes would alias
-    /// one RNG stream).
-    #[allow(clippy::too_many_arguments)]
-    pub fn generate_batch_with(
-        &self,
-        scratch: &mut BatchScratch,
-        strategy: &mut dyn Strategy,
-        seed: u64,
-        start: u64,
-        stride: u64,
-        count: usize,
-        obs: Option<&SimObserver>,
-        out: &mut Vec<Result<PathOutcome, SimError>>,
-    ) {
-        let t0 = obs.map(|_| std::time::Instant::now());
-        self.run_batch(
-            scratch,
-            strategy,
-            seed,
-            start,
-            stride,
-            count,
-            1.0,
-            obs.is_some(),
-            &mut NoopProfile,
-        );
-        scratch.record_batch(count, obs, t0);
-        out.clear();
-        out.extend(
-            scratch.results[..count]
-                .iter_mut()
-                .map(|slot| slot.take().expect("lane finished").map(|(o, _)| o)),
-        );
-    }
-
-    /// [`Self::generate_batch_with`] with a kernel profiler attached: every
-    /// lane records opcode, guard, firing and occupancy counts into `prof`,
-    /// and the batch as a whole contributes one lane-utilization sample
-    /// (see [`slim_obs::profile::ProfileHooks::batch`]). Lane outcomes stay
-    /// bit-identical to the unprofiled batch on the same streams.
-    ///
-    /// # Panics
-    /// Panics when `stride == 0` while `count > 1`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn generate_batch_profiled_with<P: ProfileHooks>(
-        &self,
-        scratch: &mut BatchScratch,
-        strategy: &mut dyn Strategy,
-        seed: u64,
-        start: u64,
-        stride: u64,
-        count: usize,
-        prof: &mut P,
-        out: &mut Vec<Result<PathOutcome, SimError>>,
-    ) {
-        self.run_batch(scratch, strategy, seed, start, stride, count, 1.0, false, prof);
-        out.clear();
-        out.extend(
-            scratch.results[..count]
-                .iter_mut()
-                .map(|slot| slot.take().expect("lane finished").map(|(o, _)| o)),
-        );
-    }
-
-    /// [`Self::generate_batch_with`] under an importance-sampling `bias`
-    /// (see [`Self::generate_biased`]): each result additionally carries
-    /// the likelihood ratio of its trajectory.
-    ///
-    /// # Panics
-    /// Panics unless `bias > 0`, and when `stride == 0` while
-    /// `count > 1`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn generate_batch_biased_with(
-        &self,
-        scratch: &mut BatchScratch,
-        strategy: &mut dyn Strategy,
-        seed: u64,
-        start: u64,
-        stride: u64,
-        count: usize,
-        bias: f64,
-        out: &mut Vec<Result<(PathOutcome, f64), SimError>>,
-    ) {
-        assert!(bias > 0.0 && bias.is_finite(), "bias must be positive, got {bias}");
-        self.run_batch(
-            scratch,
-            strategy,
-            seed,
-            start,
-            stride,
-            count,
-            bias,
-            false,
-            &mut NoopProfile,
-        );
-        out.clear();
-        out.extend(
-            scratch.results[..count].iter_mut().map(|slot| slot.take().expect("lane finished")),
-        );
-    }
-
-    /// The batched engine core: initializes `count` lanes and sweeps them
-    /// round-robin, advancing every live lane by one engine step per pass
-    /// until the batch drains. Results land in `scratch.results`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_batch<P: ProfileHooks>(
-        &self,
-        b: &mut BatchScratch,
-        strategy: &mut dyn Strategy,
-        seed: u64,
-        start: u64,
-        stride: u64,
-        count: usize,
-        bias: f64,
-        observed: bool,
-        prof: &mut P,
-    ) {
-        assert!(stride > 0 || count <= 1, "stride must be positive for multi-lane batches");
-        b.ensure_lanes(count);
-        let init = match &self.initial {
-            Ok(init) => init,
-            Err(e) => {
-                for slot in &mut b.results[..count] {
-                    *slot = Some(Err(SimError::Eval(e.clone())));
-                }
-                return;
-            }
-        };
-        for j in 0..count {
-            b.states[j].copy_from(init);
-            b.rngs[j] = path_rng(seed, start + stride * j as u64);
-            b.steps[j] = 0;
-            b.log_weights[j] = 0.0;
-            b.results[j] = None;
-            if observed {
-                b.details[j] = PathDetail::default();
-            }
-        }
-        let margin = step_margin(self.property);
-        // Each lane is swept to completion in index order. Lanes consume
-        // disjoint RNG streams and never read each other's state, so the
-        // sweep order is unobservable — and completion order keeps the
-        // lane's state hot in cache and the interpreter's branch history
-        // coherent, which measures noticeably faster than a round-robin
-        // sweep on the zoo models.
-        for j in 0..count {
-            let mut no_tracer: Option<&mut PathTracer<'_>> = None;
-            let result = loop {
-                let mut detail = if observed { b.details.get_mut(j) } else { None };
-                match self.step_path(
-                    &mut b.sim,
-                    &mut b.states[j],
-                    strategy,
-                    &mut b.rngs[j],
-                    &mut no_tracer,
-                    bias,
-                    &mut detail,
-                    &mut b.steps[j],
-                    &mut b.log_weights[j],
-                    margin,
-                    prof,
-                ) {
-                    Ok(None) => {}
-                    Ok(Some(outcome)) => break Ok((outcome, b.log_weights[j].exp())),
-                    Err(e) => break Err(e),
-                }
-            };
-            b.results[j] = Some(result);
-        }
-        if P::ENABLED && count > 0 {
-            prof.batch(&b.steps[..count]);
-        }
-    }
 }
 
-/// Reusable workspace for [`PathGenerator::generate_batch_with`]: one
+/// Reusable workspace for [`PathGenerator::generate_batch_hooked`]: one
 /// shared [`SimScratch`] (per-step windows, candidate pools and solver
-/// buffers are recomputed from scratch each step, so every lane can reuse
-/// them) plus structure-of-arrays per-lane columns — states, RNG streams,
-/// step counters, likelihood weights, outcome slots and observer
-/// counters. Allocated once and recycled across batches; after warm-up a
-/// batch performs no heap allocation.
+/// buffers are recomputed each step, so every lane reuses them) plus the
+/// per-lane step counts of the current batch. Allocated once and
+/// recycled across batches; after warm-up a batch performs no heap
+/// allocation.
 #[derive(Debug)]
 pub struct BatchScratch {
     sim: SimScratch,
-    states: Vec<NetState>,
-    rngs: Vec<StdRng>,
-    steps: Vec<u64>,
-    log_weights: Vec<f64>,
-    results: Vec<Option<Result<(PathOutcome, f64), SimError>>>,
-    details: Vec<PathDetail>,
-    lane_sort: Vec<u64>,
+    lane_steps: Vec<u64>,
 }
 
 impl BatchScratch {
-    /// Creates an empty workspace (lane columns grow on first use).
+    /// Creates an empty workspace (buffers grow on first use).
     pub fn new() -> BatchScratch {
-        BatchScratch {
-            sim: SimScratch::new(),
-            states: Vec::new(),
-            rngs: Vec::new(),
-            steps: Vec::new(),
-            log_weights: Vec::new(),
-            results: Vec::new(),
-            details: Vec::new(),
-            lane_sort: Vec::new(),
-        }
+        BatchScratch { sim: SimScratch::new(), lane_steps: Vec::new() }
     }
 
-    /// The underlying scalar scratch — the escape hatch for paths that
-    /// must run on the scalar kernel (traced generation, witness replay).
+    /// The underlying scalar scratch, for running single paths through
+    /// [`PathGenerator::generate_with`] on the batch's buffers.
     pub fn sim_mut(&mut self) -> &mut SimScratch {
         &mut self.sim
-    }
-
-    /// Grows every lane column to at least `count` entries. Columns only
-    /// grow (a short tail batch never sheds the capacity the full-width
-    /// batches warmed up) and stay in lockstep.
-    fn ensure_lanes(&mut self, count: usize) {
-        if self.states.len() < count {
-            self.states
-                .resize_with(count, || NetState::new(Vec::new(), Valuation::new(Vec::new())));
-            self.rngs.resize_with(count, || StdRng::seed_from_u64(0));
-            self.steps.resize(count, 0);
-            self.log_weights.resize(count, 0.0);
-            self.results.resize_with(count, || None);
-            self.details.resize_with(count, PathDetail::default);
-        }
-    }
-
-    /// Flushes per-path metrics of the batch's successful lanes to `obs`,
-    /// attributing the batch's wall time evenly across its lanes.
-    fn record_batch(
-        &mut self,
-        count: usize,
-        obs: Option<&SimObserver>,
-        t0: Option<std::time::Instant>,
-    ) {
-        let (Some(obs), Some(t0)) = (obs, t0) else { return };
-        self.lane_sort.clear();
-        self.lane_sort.extend_from_slice(&self.steps[..count]);
-        self.lane_sort.sort_unstable_by(|a, b| b.cmp(a));
-        obs.record_batch_lanes(&self.lane_sort);
-        let per_lane = (t0.elapsed().as_nanos() as u64) / count.max(1) as u64;
-        for d in self.details.iter_mut().take(count) {
-            d.nanos = per_lane;
-        }
-        let paths =
-            self.results.iter().take(count).zip(&self.details).filter_map(|(r, d)| match r {
-                Some(Ok((outcome, _))) => Some((outcome, d)),
-                _ => None,
-            });
-        obs.record_path_batch(paths, per_lane / 1_000);
     }
 }
 
@@ -1095,13 +845,6 @@ impl Default for BatchScratch {
     fn default() -> BatchScratch {
         BatchScratch::new()
     }
-}
-
-/// Margin past the horizon for truncating unbounded enabling windows: any
-/// delay beyond the remaining bound is verdict-equivalent, so the exact
-/// cap does not affect outcomes (see docs/semantics.md).
-fn step_margin(property: &TimedReach) -> f64 {
-    (0.1 * property.bound).max(1.0)
 }
 
 /// What happens first along a delay of length `up_to`.
@@ -1150,7 +893,7 @@ mod tests {
     use super::*;
     use crate::property::Goal;
     use crate::strategy::{Asap, MaxTime, Progressive, StrategyKind};
-    use crate::trace::{MemorySink, TraceEvent};
+    use crate::trace::{MemorySink, PathTracer, TraceEvent};
     use slim_automata::prelude::*;
 
     fn rng(seed: u64) -> StdRng {
@@ -1371,7 +1114,7 @@ mod tests {
         let mut sink = MemorySink::default();
         let out = {
             let mut tracer = PathTracer::new(&net, &mut sink);
-            gen.generate_traced(&mut Asap, &mut rng(1), &mut tracer).unwrap()
+            gen.generate_with(&mut SimScratch::new(), &mut Asap, &mut rng(1), &mut tracer).unwrap()
         };
         assert_eq!(out.verdict, Verdict::Satisfied);
         // Goal is hit exactly when firing; the trace contains the delay.
@@ -1536,7 +1279,9 @@ mod tests {
                 let mut sink = MemorySink::default();
                 {
                     let mut tracer = PathTracer::new(&net, &mut sink);
-                    let _ = gen.generate_traced(strategy.as_mut(), &mut r, &mut tracer).unwrap();
+                    let mut scratch = SimScratch::new();
+                    gen.generate_with(&mut scratch, strategy.as_mut(), &mut r, &mut tracer)
+                        .unwrap();
                 }
                 // Until the urgent watchdog has fired, time must not pass
                 // its 2.0 enabling instant — so the FIRST discrete event
@@ -1582,7 +1327,12 @@ mod tests {
         for kind in StrategyKind::ALL {
             for seed in 0..25 {
                 let a = gen
-                    .generate_with(&mut shared, kind.instantiate().as_mut(), &mut rng(seed))
+                    .generate_with(
+                        &mut shared,
+                        kind.instantiate().as_mut(),
+                        &mut rng(seed),
+                        &mut NoHooks,
+                    )
                     .unwrap();
                 let b = gen.generate(kind.instantiate().as_mut(), &mut rng(seed)).unwrap();
                 assert_eq!(a, b, "strategy {kind}, seed {seed}");

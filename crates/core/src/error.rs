@@ -18,7 +18,8 @@ pub enum SimError {
     StepLimitExceeded { limit: u64 },
     /// The input oracle (interactive strategy) aborted the simulation.
     InputAborted,
-    /// The input oracle returned an invalid choice.
+    /// An input was rejected: an invalid choice of the input oracle, or
+    /// an analysis parameter outside its domain.
     InvalidInput { detail: String },
     /// A worker thread panicked or disconnected.
     WorkerFailed { detail: String },
@@ -38,7 +39,7 @@ impl fmt::Display for SimError {
                 write!(f, "path exceeded the step limit of {limit}")
             }
             SimError::InputAborted => write!(f, "interactive input aborted"),
-            SimError::InvalidInput { detail } => write!(f, "invalid input choice: {detail}"),
+            SimError::InvalidInput { detail } => write!(f, "invalid input: {detail}"),
             SimError::WorkerFailed { detail } => write!(f, "worker failed: {detail}"),
             SimError::ReplayMismatch { event, detail } => {
                 write!(f, "replay diverged at event {event}: {detail}")

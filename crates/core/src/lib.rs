@@ -56,9 +56,11 @@ pub mod witness;
 /// Convenient glob-import of the simulator API.
 pub mod prelude {
     pub use crate::config::{DeadlockPolicy, SimConfig};
-    pub use crate::engine::{BatchScratch, PathGenerator, SimScratch};
+    pub use crate::engine::{
+        BatchScratch, ImportanceBias, NoHooks, PathGenerator, PathHooks, SimScratch,
+    };
     pub use crate::error::SimError;
-    pub use crate::obs::{SimObserver, WorkerStat};
+    pub use crate::obs::{PathObserver, SimObserver, WorkerStat};
     pub use crate::preverdict::{goal_distance_targets, pre_verdict, pre_verdict_with, PreVerdict};
     pub use crate::property::{CompiledGoal, Goal, GoalPool, TimedReach};
     pub use crate::rare_event::{analyze_rare, RareEventConfig, RareEventResult};

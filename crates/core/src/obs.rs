@@ -10,12 +10,18 @@
 //! sampling hot path and never touches the RNG, so it cannot perturb
 //! `(seed, workers)`-determinism.
 
+use crate::engine::PathHooks;
+use crate::error::SimError;
+use crate::strategy::{Decision, ScheduledCandidate};
 use crate::verdict::{PathOutcome, Verdict};
 use crate::witness::WitnessSelector;
+use slim_automata::automaton::{ActionId, ProcId, TransId};
+use slim_automata::prelude::NetState;
 use slim_obs::metrics::{CounterId, HistogramId, MetricsRegistry, MetricsSnapshot};
+use slim_obs::profile::ProfileHooks;
 use slim_obs::report::ConvergencePoint;
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Progress callback: `(samples_consumed, known_target, estimate)` with
 /// `estimate = Some((p̂, half_width))` once at least one sample is in.
@@ -45,8 +51,6 @@ pub struct PathDetail {
     pub decisions_wait: u64,
     /// Strategy decisions reporting no schedulable candidate.
     pub decisions_stuck: u64,
-    /// Wall time spent generating the path, in nanoseconds.
-    pub nanos: u64,
 }
 
 /// One worker's aggregate contribution, extracted for run reports.
@@ -197,74 +201,33 @@ impl SimObserver {
         self.registry.snapshot()
     }
 
-    /// Flushes one generated path's detail (called by the engine).
-    pub(crate) fn record_path(&self, outcome: &PathOutcome, detail: &PathDetail) {
-        let r = &self.registry;
-        r.inc(self.c_verdicts[verdict_slot(outcome.verdict)]);
-        r.add(self.c_steps_total, outcome.steps);
-        r.add(self.c_fires_markovian, detail.fires_markovian);
-        r.add(self.c_fires_guarded, detail.fires_guarded);
-        r.add(self.c_waits, detail.waits);
-        r.add(self.c_decisions_fire, detail.decisions_fire);
-        r.add(self.c_decisions_wait, detail.decisions_wait);
-        r.add(self.c_decisions_stuck, detail.decisions_stuck);
-        r.record(self.h_steps_per_path, outcome.steps);
-        r.record(self.h_path_micros, detail.nanos / 1_000);
-        match outcome.verdict {
-            Verdict::Deadlock => r.inc(self.c_deadlocks),
-            Verdict::Timelock => r.inc(self.c_timelocks),
-            _ => {}
-        }
-    }
-
-    /// Flushes a whole batch of path details with one pass over the
-    /// shared counters: per-path work is reduced to the value-dependent
-    /// histogram records, everything summable lands in locals first. The
-    /// final counter values are identical to calling
-    /// [`Self::record_path`] per path; `micros` is the per-lane wall time
-    /// the caller attributes to every path of the batch.
-    pub(crate) fn record_path_batch<'a, I>(&self, paths: I, micros: u64)
-    where
-        I: Iterator<Item = (&'a PathOutcome, &'a PathDetail)>,
-    {
-        let r = &self.registry;
-        let mut verdicts = [0u64; 6];
-        let mut agg = PathDetail::default();
-        let mut steps_total = 0u64;
-        let mut n = 0u64;
-        for (outcome, detail) in paths {
-            verdicts[verdict_slot(outcome.verdict)] += 1;
-            steps_total += outcome.steps;
-            agg.fires_markovian += detail.fires_markovian;
-            agg.fires_guarded += detail.fires_guarded;
-            agg.waits += detail.waits;
-            agg.decisions_fire += detail.decisions_fire;
-            agg.decisions_wait += detail.decisions_wait;
-            agg.decisions_stuck += detail.decisions_stuck;
-            r.record(self.h_steps_per_path, outcome.steps);
-            n += 1;
-        }
-        if n == 0 {
+    /// Flushes one batch's [`Tally`] with one pass over the shared
+    /// counters; `micros` is the per-lane wall time attributed to every
+    /// path of the batch.
+    fn record_tally(&self, t: &Tally, micros: u64) {
+        if t.paths == 0 {
             return;
         }
-        for (slot, &count) in verdicts.iter().enumerate() {
+        let r = &self.registry;
+        for (slot, &count) in t.verdicts.iter().enumerate() {
             if count > 0 {
                 r.add(self.c_verdicts[slot], count);
             }
         }
-        r.add(self.c_steps_total, steps_total);
-        r.add(self.c_fires_markovian, agg.fires_markovian);
-        r.add(self.c_fires_guarded, agg.fires_guarded);
-        r.add(self.c_waits, agg.waits);
-        r.add(self.c_decisions_fire, agg.decisions_fire);
-        r.add(self.c_decisions_wait, agg.decisions_wait);
-        r.add(self.c_decisions_stuck, agg.decisions_stuck);
-        r.record_n(self.h_path_micros, micros, n);
-        if verdicts[verdict_slot(Verdict::Deadlock)] > 0 {
-            r.add(self.c_deadlocks, verdicts[verdict_slot(Verdict::Deadlock)]);
-        }
-        if verdicts[verdict_slot(Verdict::Timelock)] > 0 {
-            r.add(self.c_timelocks, verdicts[verdict_slot(Verdict::Timelock)]);
+        r.add(self.c_steps_total, t.steps);
+        r.add(self.c_fires_markovian, t.detail.fires_markovian);
+        r.add(self.c_fires_guarded, t.detail.fires_guarded);
+        r.add(self.c_waits, t.detail.waits);
+        r.add(self.c_decisions_fire, t.detail.decisions_fire);
+        r.add(self.c_decisions_wait, t.detail.decisions_wait);
+        r.add(self.c_decisions_stuck, t.detail.decisions_stuck);
+        r.record_n(self.h_path_micros, micros, t.paths);
+        for (verdict, counter) in
+            [(Verdict::Deadlock, self.c_deadlocks), (Verdict::Timelock, self.c_timelocks)]
+        {
+            if t.verdicts[verdict_slot(verdict)] > 0 {
+                r.add(counter, t.verdicts[verdict_slot(verdict)]);
+            }
         }
     }
 
@@ -409,6 +372,109 @@ impl SimObserver {
     }
 }
 
+/// Path metrics summed over the successful paths of one batch.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    paths: u64,
+    steps: u64,
+    verdicts: [u64; 6],
+    detail: PathDetail,
+}
+
+/// Observer hooks for [`crate::engine::PathGenerator::generate_batch_with`]:
+/// counts firings, waits and strategy decisions in the current lane's
+/// [`PathDetail`], sums the batch's successful lanes, and flushes the sum
+/// together with the lane utilization to a [`SimObserver`] once per
+/// batch, attributing the batch's wall time evenly across its paths.
+#[derive(Debug)]
+pub struct PathObserver<'o> {
+    obs: &'o SimObserver,
+    started: Instant,
+    current: PathDetail,
+    /// Applied (non-terminal) steps of the current path: each is either
+    /// a firing or a pure wait.
+    moves: u64,
+    tally: Tally,
+}
+
+impl<'o> PathObserver<'o> {
+    /// Hooks flushing to `obs`, timing the first batch from now.
+    pub fn new(obs: &'o SimObserver) -> PathObserver<'o> {
+        PathObserver {
+            obs,
+            started: Instant::now(),
+            current: PathDetail::default(),
+            moves: 0,
+            tally: Tally::default(),
+        }
+    }
+}
+
+impl ProfileHooks for PathObserver<'_> {
+    const ENABLED: bool = false;
+
+    fn batch(&mut self, lane_steps: &[u64]) {
+        self.obs.record_batch_lanes(lane_steps);
+        let per_lane = (self.started.elapsed().as_nanos() as u64) / lane_steps.len().max(1) as u64;
+        self.obs.record_tally(&self.tally, per_lane / 1_000);
+        self.tally = Tally::default();
+        self.started = Instant::now();
+    }
+}
+
+impl PathHooks for PathObserver<'_> {
+    fn decision(
+        &mut self,
+        _step: u64,
+        _state: &NetState,
+        decision: &Decision,
+        _candidates: &[ScheduledCandidate],
+    ) {
+        match decision {
+            Decision::Fire { .. } => self.current.decisions_fire += 1,
+            Decision::Wait { .. } => self.current.decisions_wait += 1,
+            Decision::Stuck => self.current.decisions_stuck += 1,
+            Decision::Abort => {}
+        }
+    }
+
+    fn fire(
+        &mut self,
+        _step: u64,
+        _state: &NetState,
+        _action: ActionId,
+        _parts: &[(ProcId, TransId)],
+        race: Option<(f64, f64)>,
+    ) {
+        if race.is_some() {
+            self.current.fires_markovian += 1;
+        } else {
+            self.current.fires_guarded += 1;
+        }
+    }
+
+    fn snapshot(&mut self, _step: u64, _state: &NetState) {
+        self.moves += 1;
+    }
+
+    fn path_end(&mut self, result: &Result<PathOutcome, SimError>, _weight: f64) {
+        let d = std::mem::take(&mut self.current);
+        let moves = std::mem::take(&mut self.moves);
+        let Ok(outcome) = result else { return };
+        self.obs.registry.record(self.obs.h_steps_per_path, outcome.steps);
+        let t = &mut self.tally;
+        t.paths += 1;
+        t.steps += outcome.steps;
+        t.verdicts[verdict_slot(outcome.verdict)] += 1;
+        t.detail.fires_markovian += d.fires_markovian;
+        t.detail.fires_guarded += d.fires_guarded;
+        t.detail.waits += moves - d.fires_markovian - d.fires_guarded;
+        t.detail.decisions_fire += d.decisions_fire;
+        t.detail.decisions_wait += d.decisions_wait;
+        t.detail.decisions_stuck += d.decisions_stuck;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,28 +484,44 @@ mod tests {
     }
 
     #[test]
-    fn record_path_updates_counters_and_histograms() {
+    fn path_observer_flushes_successful_paths_per_batch() {
         let obs = SimObserver::new(1);
-        let detail = PathDetail {
-            fires_markovian: 3,
-            fires_guarded: 2,
-            waits: 1,
-            decisions_fire: 2,
-            decisions_wait: 1,
-            decisions_stuck: 0,
-            nanos: 5_000,
-        };
-        obs.record_path(&outcome(Verdict::Satisfied, 6), &detail);
-        obs.record_path(&outcome(Verdict::Deadlock, 4), &detail);
+        let state = NetState::new(Vec::new(), slim_automata::prelude::Valuation::new(Vec::new()));
+        let mut hooks = PathObserver::new(&obs);
+        // Path 1: fire (guarded), wait, Markovian fire — then satisfied.
+        for (decision, race) in [
+            (Decision::Fire { delay: 0.0, candidate: 0 }, Some(None)),
+            (Decision::Wait { delay: 1.0 }, None),
+            (Decision::Stuck, Some(Some((1.0, 2.0)))),
+        ] {
+            hooks.decision(1, &state, &decision, &[]);
+            if let Some(race) = race {
+                hooks.fire(1, &state, ActionId::TAU, &[], race);
+            }
+            hooks.snapshot(1, &state);
+        }
+        hooks.path_end(&Ok(outcome(Verdict::Satisfied, 3)), 1.0);
+        // Path 2 deadlocks after one wait; path 3 errors and is dropped.
+        hooks.decision(1, &state, &Decision::Wait { delay: 1.0 }, &[]);
+        hooks.snapshot(1, &state);
+        hooks.path_end(&Ok(outcome(Verdict::Deadlock, 1)), 1.0);
+        hooks.decision(1, &state, &Decision::Stuck, &[]);
+        hooks.path_end(&Err(SimError::InputAborted), 1.0);
+        hooks.batch(&[3, 1, 1]);
         let snap = obs.snapshot();
         assert_eq!(snap.counters["paths.satisfied"], 1);
         assert_eq!(snap.counters["paths.deadlock"], 1);
         assert_eq!(snap.counters["sim.deadlocks"], 1);
-        assert_eq!(snap.counters["sim.steps_total"], 10);
-        assert_eq!(snap.counters["sim.fires_markovian"], 6);
-        assert_eq!(snap.counters["strategy.decisions_fire"], 4);
+        assert_eq!(snap.counters["sim.steps_total"], 4);
+        assert_eq!(snap.counters["sim.fires_markovian"], 1);
+        assert_eq!(snap.counters["sim.fires_guarded"], 1);
+        assert_eq!(snap.counters["sim.waits"], 2);
+        assert_eq!(snap.counters["strategy.decisions_fire"], 1);
+        assert_eq!(snap.counters["strategy.decisions_wait"], 2);
+        assert_eq!(snap.counters["strategy.decisions_stuck"], 1);
+        assert_eq!(snap.counters["batch.batches"], 1);
         assert_eq!(snap.histograms["sim.steps_per_path"].count, 2);
-        assert_eq!(snap.histograms["sim.path_micros"].max, 5);
+        assert_eq!(snap.histograms["sim.path_micros"].count, 2);
     }
 
     #[test]

@@ -73,27 +73,13 @@ impl CompiledGoal {
         self.window_with(net, step, pool, state, out, false, &mut NoopProfile)
     }
 
-    /// [`CompiledGoal::window_into`] without the per-atom rate refresh:
-    /// evaluates every predicate atom against the rates already in the
-    /// step scratch (see [`Network::rates_refresh`]), so a stepping loop
-    /// that refreshes once per step pays for exactly one refresh no matter
-    /// how many atoms the goal has. Bit-identical to the refreshing form.
-    ///
-    /// # Errors
-    /// Linear-solver errors for non-linear goal expressions.
-    pub fn window_rated(
-        &self,
-        net: &Network,
-        step: &mut StepScratch,
-        pool: &mut GoalPool,
-        state: &NetState,
-        out: &mut IntervalSet,
-    ) -> Result<(), EvalError> {
-        self.window_with(net, step, pool, state, out, true, &mut NoopProfile)
-    }
-
-    /// [`CompiledGoal::window_rated`] with profiling hooks: records the
-    /// predicate-program opcodes every atom executes.
+    /// [`CompiledGoal::window_into`] without the per-atom rate refresh and
+    /// with profiling hooks: evaluates every predicate atom against the
+    /// rates already in the step scratch (see [`Network::rates_refresh`]),
+    /// so a stepping loop that refreshes once per step pays for exactly
+    /// one refresh no matter how many atoms the goal has. Bit-identical to
+    /// the refreshing form; records the predicate-program opcodes every
+    /// atom executes.
     ///
     /// # Errors
     /// Linear-solver errors for non-linear goal expressions.

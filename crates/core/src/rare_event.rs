@@ -14,7 +14,7 @@
 //! only the stochastic fault process is biased.
 
 use crate::config::DeadlockPolicy;
-use crate::engine::{BatchScratch, PathGenerator};
+use crate::engine::{BatchScratch, ImportanceBias, PathGenerator};
 use crate::error::SimError;
 use crate::property::TimedReach;
 use crate::strategy::StrategyKind;
@@ -79,16 +79,30 @@ pub struct RareEventResult {
 /// Estimates `P(◇[0,u] goal)` (or bounded until) by importance sampling.
 ///
 /// # Errors
-/// Simulation errors; deadlocks under [`DeadlockPolicy::Error`].
-///
-/// # Panics
-/// Panics unless `boost > 0`.
+/// * [`SimError::InvalidInput`] unless `boost` and `rel_err` are positive
+///   and finite and `confidence` lies strictly between 0 and 1;
+/// * simulation errors; deadlocks under [`DeadlockPolicy::Error`].
 pub fn analyze_rare(
     net: &Network,
     property: &TimedReach,
     config: &RareEventConfig,
 ) -> Result<RareEventResult, SimError> {
-    assert!(config.boost > 0.0 && config.boost.is_finite(), "boost must be positive");
+    let invalid = |detail: String| Err(SimError::InvalidInput { detail });
+    if !(config.boost > 0.0 && config.boost.is_finite()) {
+        return invalid(format!("boost must be positive and finite, got {}", config.boost));
+    }
+    if !(config.rel_err > 0.0 && config.rel_err.is_finite()) {
+        return invalid(format!(
+            "relative error must be positive and finite, got {}",
+            config.rel_err
+        ));
+    }
+    if !(config.confidence > 0.0 && config.confidence < 1.0) {
+        return invalid(format!(
+            "confidence must lie strictly between 0 and 1 (delta in (0, 1)), got {}",
+            config.confidence
+        ));
+    }
     let start = Instant::now();
     let gen = PathGenerator::new(net, property, config.max_steps);
     let mut strategy = config.strategy.instantiate();
@@ -96,7 +110,8 @@ pub fn analyze_rare(
     let mut stats = PathStats::default();
 
     let mut scratch = BatchScratch::new();
-    let mut batch: Vec<Result<(PathOutcome, f64), SimError>> = Vec::new();
+    let mut bias = ImportanceBias::new(config.boost);
+    let mut batch: Vec<Result<PathOutcome, SimError>> = Vec::new();
     let lanes = config.batch_lanes.max(1);
     let mut index = 0u64;
     'outer: while !estimator.is_complete() && index < config.max_paths {
@@ -105,21 +120,22 @@ pub fn analyze_rare(
         // completed mid-batch is discarded unconsumed — the scalar loop
         // would never have sampled it.
         let count = (config.max_paths - index).min(lanes as u64) as usize;
-        gen.generate_batch_biased_with(
+        bias.clear();
+        gen.generate_batch_hooked(
             &mut scratch,
             strategy.as_mut(),
             config.seed,
             index,
             1,
             count,
-            config.boost,
+            &mut bias,
             &mut batch,
         );
-        for res in batch.drain(..) {
+        for (res, &weight) in batch.drain(..).zip(bias.weights()) {
             if estimator.is_complete() {
                 break 'outer;
             }
-            let (outcome, weight) = res?;
+            let outcome = res?;
             if config.deadlock_policy == DeadlockPolicy::Error && outcome.verdict.is_lock() {
                 return Err(SimError::DeadlockDetected {
                     time: outcome.end_time,
@@ -247,8 +263,11 @@ mod tests {
         let gen = PathGenerator::new(&net, &prop, 1000);
         let mut strategy = crate::strategy::Asap;
         let mut rng = path_rng(0, 0);
-        let (out, w) = gen.generate_biased(&mut strategy, &mut rng, 50.0).unwrap();
+        let mut bias = ImportanceBias::new(50.0);
+        let mut scratch = crate::engine::SimScratch::new();
+        let out = gen.generate_with(&mut scratch, &mut strategy, &mut rng, &mut bias).unwrap();
         assert_eq!(out.verdict, crate::verdict::Verdict::Satisfied);
+        let w = bias.weights()[0];
         assert!((w - 1.0).abs() < 1e-12, "weight {w} should be exactly 1");
     }
 

@@ -333,7 +333,8 @@ mod tests {
         let mut sink = MemorySink::default();
         {
             let mut tracer = PathTracer::new(net, &mut sink);
-            gen.generate_traced(strategy, &mut rng(seed), &mut tracer).unwrap();
+            let mut scratch = crate::engine::SimScratch::new();
+            gen.generate_with(&mut scratch, strategy, &mut rng(seed), &mut tracer).unwrap();
         }
         sink.events
     }

@@ -26,7 +26,6 @@ use slim_obs::report::ConvergencePoint;
 use slim_stats::chernoff::Accuracy;
 use slim_stats::estimator::{Estimate, Generator};
 use slim_stats::parallel::{split_workload, RoundRobinCollector};
-use slim_stats::rng::path_rng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -61,27 +60,15 @@ impl AnalysisResult {
 /// index); tests substitute deterministic mocks to pin down the runner's
 /// failure and completion semantics without racing real simulations.
 pub(crate) trait PathSource: Sync {
-    /// Per-worker reusable workspace threaded through [`Self::sample`].
+    /// Per-worker reusable workspace threaded through [`Self::sample_batch`].
     type Scratch;
 
     /// Creates a fresh workspace (once per worker, not per path).
     fn make_scratch(&self) -> Self::Scratch;
 
-    /// Generates the outcome for path `index`.
-    fn sample(
-        &self,
-        index: u64,
-        scratch: &mut Self::Scratch,
-        strategy: &mut dyn Strategy,
-        obs: Option<&SimObserver>,
-    ) -> Result<PathOutcome, SimError>;
-
     /// Generates the outcomes of the `count` paths at indices `start`,
     /// `start + stride`, `start + 2·stride`, …, clearing `out` and
-    /// pushing one result per path in index order. The default
-    /// implementation loops [`Self::sample`]; the engine source
-    /// overrides it with the batched structure-of-arrays kernel
-    /// (identical per-path results, amortized dispatch).
+    /// pushing one result per path in index order.
     #[allow(clippy::too_many_arguments)]
     fn sample_batch(
         &self,
@@ -92,20 +79,14 @@ pub(crate) trait PathSource: Sync {
         strategy: &mut dyn Strategy,
         obs: Option<&SimObserver>,
         out: &mut Vec<Result<PathOutcome, SimError>>,
-    ) {
-        out.clear();
-        for j in 0..count as u64 {
-            out.push(self.sample(start + stride * j, scratch, strategy, obs));
-        }
-    }
+    );
 
     /// Size of one simulation state in bytes (for the memory estimate).
     fn state_bytes(&self) -> usize;
 }
 
-/// The production source: one seeded engine run per path index, lifted
-/// onto the batched structure-of-arrays kernel when the runner asks for
-/// whole lanes at once.
+/// The production source: the engine's batched driver, seeded per path
+/// index.
 struct EngineSource<'a> {
     gen: PathGenerator<'a>,
     seed: u64,
@@ -116,17 +97,6 @@ impl PathSource for EngineSource<'_> {
 
     fn make_scratch(&self) -> BatchScratch {
         BatchScratch::new()
-    }
-
-    fn sample(
-        &self,
-        index: u64,
-        scratch: &mut BatchScratch,
-        strategy: &mut dyn Strategy,
-        obs: Option<&SimObserver>,
-    ) -> Result<PathOutcome, SimError> {
-        let mut rng = path_rng(self.seed, index);
-        self.gen.generate_observed_with(scratch.sim_mut(), strategy, &mut rng, obs)
     }
 
     fn sample_batch(
@@ -266,7 +236,7 @@ pub fn analyze_profiled(
                             let count = (target - first).min(lanes) as usize;
                             let block_t0 = obs.map(|_| Instant::now());
                             let mut out = Vec::with_capacity(count);
-                            gen.generate_batch_profiled_with(
+                            gen.generate_batch_hooked(
                                 &mut scratch,
                                 strategy.as_mut(),
                                 config.seed,
@@ -885,8 +855,7 @@ mod tests {
             let mut prof = KernelProfile::new(profile_shape(&net));
             for path in 0..4 {
                 let mut rng = path_rng(7, path);
-                gen.generate_profiled_with(&mut scratch, strategy.as_mut(), &mut rng, &mut prof)
-                    .unwrap();
+                gen.generate_with(&mut scratch, strategy.as_mut(), &mut rng, &mut prof).unwrap();
             }
             prof
         };
@@ -1208,14 +1177,18 @@ mod tests {
 
         fn make_scratch(&self) {}
 
-        fn sample(
+        fn sample_batch(
             &self,
-            index: u64,
+            start: u64,
+            stride: u64,
+            count: usize,
             _scratch: &mut (),
             _strategy: &mut dyn Strategy,
             _obs: Option<&SimObserver>,
-        ) -> Result<PathOutcome, SimError> {
-            (self.0)(index)
+            out: &mut Vec<Result<PathOutcome, SimError>>,
+        ) {
+            out.clear();
+            out.extend((0..count as u64).map(|j| (self.0)(start + stride * j)));
         }
 
         fn state_bytes(&self) -> usize {

@@ -1,16 +1,18 @@
 //! Engine-side structured path tracing.
 //!
 //! The typed event vocabulary and the sinks live in `slim_obs::trace`
-//! (re-exported here); this module adds the [`PathTracer`], which the
-//! engine drives to turn id-based network steps into the name-based
-//! [`TraceEvent`]s that trace files carry. The tracer is only consulted
-//! through `Option<&mut PathTracer>` — when absent the engine pays a
-//! single branch per emission point and never constructs an event.
+//! (re-exported here); this module adds the [`PathTracer`], a
+//! [`PathHooks`] impl that turns id-based network steps into the
+//! name-based [`TraceEvent`]s that trace files carry. Untraced paths run
+//! on other hook types and never construct an event.
 
+use crate::engine::PathHooks;
+use crate::error::SimError;
 use crate::strategy::{Decision, ScheduledCandidate};
 use crate::verdict::PathOutcome;
-use slim_automata::network::GlobalTransition;
+use slim_automata::automaton::{ActionId, ProcId, TransId};
 use slim_automata::prelude::{NetState, Network, Value};
+use slim_obs::profile::ProfileHooks;
 use slim_obs::Json;
 
 pub use slim_obs::trace::{
@@ -58,8 +60,9 @@ pub fn render_candidate(net: &Network, c: &ScheduledCandidate) -> String {
 
 /// Turns engine steps into structured [`TraceEvent`]s on a sink.
 ///
-/// Created per path; the engine calls the `pub(crate)` emission hooks,
-/// front-ends add [`TraceEvent::Start`] headers via [`PathTracer::emit`].
+/// Created per path and passed as the hooks of
+/// [`crate::engine::PathGenerator::generate_with`]; front-ends add
+/// [`TraceEvent::Start`] headers via [`PathTracer::emit`].
 pub struct PathTracer<'a> {
     net: &'a Network,
     sink: &'a mut dyn TraceSink,
@@ -93,12 +96,17 @@ impl<'a> PathTracer<'a> {
     pub fn emit(&mut self, event: TraceEvent) {
         self.sink.record(event);
     }
+}
 
-    pub(crate) fn delay(&mut self, step: u64, state: &NetState, duration: f64) {
-        self.sink.record(TraceEvent::Delay { step, at: state.time, duration });
-    }
+impl ProfileHooks for PathTracer<'_> {
+    const ENABLED: bool = false;
+}
 
-    pub(crate) fn decision(
+/// Tracing: strategy decisions (with their candidate sets), delays,
+/// firings (with Markovian race rates), valuation snapshots per
+/// [`TraceOptions`], and the final verdict of every successful path.
+impl PathHooks for PathTracer<'_> {
+    fn decision(
         &mut self,
         step: u64,
         state: &NetState,
@@ -125,31 +133,33 @@ impl<'a> PathTracer<'a> {
         });
     }
 
-    pub(crate) fn fire(
+    fn delay(&mut self, step: u64, state: &NetState, duration: f64) {
+        self.sink.record(TraceEvent::Delay { step, at: state.time, duration });
+    }
+
+    fn fire(
         &mut self,
         step: u64,
         state: &NetState,
-        gt: &GlobalTransition,
-        markovian: bool,
-        rate: Option<f64>,
-        rate_total: Option<f64>,
+        action: ActionId,
+        parts: &[(ProcId, TransId)],
+        race: Option<(f64, f64)>,
     ) {
         self.sink.record(TraceEvent::Fire {
             step,
             at: state.time,
-            action: self.net.actions()[gt.action.0].name.clone(),
-            markovian,
-            rate,
-            rate_total,
-            parts: gt
-                .parts
+            action: self.net.actions()[action.0].name.clone(),
+            markovian: race.is_some(),
+            rate: race.map(|(rate, _)| rate),
+            rate_total: race.map(|(_, total)| total),
+            parts: parts
                 .iter()
                 .map(|&(p, t)| (self.net.automata()[p.0].name.clone(), t.0 as u64))
                 .collect(),
         });
     }
 
-    pub(crate) fn snapshot(&mut self, step: u64, state: &NetState) {
+    fn snapshot(&mut self, step: u64, state: &NetState) {
         let every = self.opts.snapshot_every;
         if every == 0 || !step.is_multiple_of(every) {
             return;
@@ -157,12 +167,14 @@ impl<'a> PathTracer<'a> {
         self.sink.record(snapshot_event(self.net, step, state));
     }
 
-    pub(crate) fn verdict(&mut self, outcome: &PathOutcome) {
-        self.sink.record(TraceEvent::Verdict {
-            verdict: outcome.verdict.code().to_string(),
-            at: outcome.end_time,
-            steps: outcome.steps,
-        });
+    fn path_end(&mut self, result: &Result<PathOutcome, SimError>, _weight: f64) {
+        if let Ok(outcome) = result {
+            self.sink.record(TraceEvent::Verdict {
+                verdict: outcome.verdict.code().to_string(),
+                at: outcome.end_time,
+                steps: outcome.steps,
+            });
+        }
     }
 }
 

@@ -135,7 +135,7 @@ pub fn capture_witnesses(
         let mut sink = MemorySink::default();
         let outcome = {
             let mut tracer = PathTracer::with_options(net, &mut sink, opts);
-            gen.generate_traced_with(&mut scratch, strategy.as_mut(), &mut rng, &mut tracer)?
+            gen.generate_with(&mut scratch, strategy.as_mut(), &mut rng, &mut tracer)?
         };
         let matches = match category {
             WitnessCategory::Goal => outcome.verdict.is_success(),

@@ -13,7 +13,7 @@ use slim_lint::LintConfig;
 use slim_stats::chernoff::Accuracy;
 use slim_stats::rng::{derive_seed, path_rng};
 use slimsim_core::prelude::{
-    analyze, pre_verdict, BatchScratch, DeadlockPolicy, Goal, PathGenerator, PathOutcome,
+    analyze, pre_verdict, BatchScratch, DeadlockPolicy, Goal, NoHooks, PathGenerator, PathOutcome,
     PreVerdict, SimConfig, SimError, SimScratch, StrategyKind, TimedReach,
 };
 
@@ -49,7 +49,7 @@ pub enum OracleKind {
     /// a seeded pseudo-random walk: delay windows, candidate lists
     /// (order included), Markovian rates, successor states.
     CompiledEquivalence,
-    /// The batched SoA path kernel reproduces the scalar engine's
+    /// The batched path driver reproduces the scalar engine's
     /// per-path outcome (or error) lane-exactly at every lane width.
     BatchEquivalence,
     /// The fused/specialized kernel (`CompileOptions::default`) and the
@@ -506,7 +506,12 @@ fn fixpoint_soundness(
     for i in 0..cfg.soundness_paths {
         let mut rng = path_rng(sim_seed, i);
         let mut strategy = StrategyKind::Asap.instantiate();
-        let outcome = match generator.generate_with(&mut scratch, strategy.as_mut(), &mut rng) {
+        let outcome = match generator.generate_with(
+            &mut scratch,
+            strategy.as_mut(),
+            &mut rng,
+            &mut NoHooks,
+        ) {
             Ok(o) => o,
             // A path cut by the step budget proves nothing either way.
             Err(SimError::StepLimitExceeded { .. }) => continue,
@@ -535,7 +540,7 @@ fn fixpoint_soundness(
 
 // ---- batch equivalence ----
 
-/// Challenges the batched SoA kernel's lane determinism contract: every
+/// Challenges the batched driver's lane determinism contract: every
 /// path generated through a batch must reproduce the scalar engine's
 /// outcome for the same `(seed, index)` — verdict, step count, end time,
 /// or the *same* error — at every lane width, on a scratch deliberately
@@ -558,7 +563,7 @@ fn batch_equivalence(
         let mut strategy = StrategyKind::Asap.instantiate();
         scalar.push(
             generator
-                .generate_with(&mut scratch, strategy.as_mut(), &mut rng)
+                .generate_with(&mut scratch, strategy.as_mut(), &mut rng, &mut NoHooks)
                 .map_err(|e| e.to_string()),
         );
     }
@@ -626,13 +631,13 @@ fn fusion_equivalence(
         let mut rng = path_rng(sim_seed, i);
         let mut strategy = StrategyKind::Asap.instantiate();
         let want = reference
-            .generate_with(&mut scratch, strategy.as_mut(), &mut rng)
+            .generate_with(&mut scratch, strategy.as_mut(), &mut rng, &mut NoHooks)
             .map_err(|e| e.to_string());
 
         let mut rng = path_rng(sim_seed, i);
         let mut strategy = StrategyKind::Asap.instantiate();
         let got = fused
-            .generate_with(&mut scratch, strategy.as_mut(), &mut rng)
+            .generate_with(&mut scratch, strategy.as_mut(), &mut rng, &mut NoHooks)
             .map_err(|e| e.to_string());
 
         if got != want {

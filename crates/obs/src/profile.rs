@@ -46,8 +46,8 @@ pub const PROFILE_KIND: &str = "kernel-profile";
 /// otherwise cost something even when every hook inlines to nothing
 /// (e.g. the per-process location-occupancy sweep).
 pub trait ProfileHooks {
-    /// Whether this instantiation records anything at all. When `false`
-    /// the kernel skips hook-only loops entirely.
+    /// Whether this instantiation records per-step kernel counters. When
+    /// `false` the kernel skips hook-only loops entirely.
     const ENABLED: bool;
 
     /// A bytecode program is about to run; resets digram tracking so
@@ -85,8 +85,8 @@ pub trait ProfileHooks {
     #[inline]
     fn delay_solve(&mut self) {}
 
-    /// A batched sweep finished; `lane_steps[j]` is the number of steps
-    /// lane `j` executed before its path completed.
+    /// A batched sweep finished; `lane_steps` holds the number of steps
+    /// each lane executed before its path completed, sorted descending.
     #[inline]
     fn batch(&mut self, lane_steps: &[u64]) {
         let _ = lane_steps;
@@ -165,8 +165,6 @@ pub struct KernelProfile {
     scalar_drains: u64,
     /// Batched sweeps recorded.
     batches: u64,
-    /// Scratch for sorting lane step counts without reallocating.
-    lane_scratch: Vec<u64>,
 }
 
 impl KernelProfile {
@@ -188,7 +186,6 @@ impl KernelProfile {
             lane_hist: Vec::new(),
             scalar_drains: 0,
             batches: 0,
-            lane_scratch: Vec::new(),
         }
     }
 
@@ -312,18 +309,14 @@ impl ProfileHooks for KernelProfile {
         if lane_steps.len() == 1 {
             self.scalar_drains = self.scalar_drains.wrapping_add(1);
         }
-        self.lane_scratch.clear();
-        self.lane_scratch.extend_from_slice(lane_steps);
-        self.lane_scratch.sort_unstable_by(|a, b| b.cmp(a));
         if self.lane_hist.len() < lane_steps.len() + 1 {
             self.lane_hist.resize(lane_steps.len() + 1, 0);
         }
         // Lanes sorted by steps descending: exactly `j + 1` lanes were
         // still active for the steps between rank j's count and rank
         // j+1's count.
-        for j in 0..self.lane_scratch.len() {
-            let hi = self.lane_scratch[j];
-            let lo = if j + 1 < self.lane_scratch.len() { self.lane_scratch[j + 1] } else { 0 };
+        for (j, &hi) in lane_steps.iter().enumerate() {
+            let lo = lane_steps.get(j + 1).copied().unwrap_or(0);
             self.lane_hist[j + 1] = self.lane_hist[j + 1].wrapping_add(hi - lo);
         }
     }

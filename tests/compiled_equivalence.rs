@@ -16,6 +16,7 @@ use slim_models::{
     gps_network, power_system_network, repair_network, sensor_filter_network, voting_network,
     GpsParams, PowerSystemParams, RepairParams, SensorFilterParams, VotingParams,
 };
+use slim_obs::KernelProfile;
 use slimsim::prelude::*;
 
 /// Deterministic linear-congruential driver for the differential walks
@@ -129,28 +130,77 @@ fn model_zoo_compiled_kernel_matches_legacy() {
 }
 
 /// One `SimScratch` reused — dirty — across models, strategies, and
-/// seeds must yield exactly the outcomes of a fresh scratch per path.
+/// seeds must yield exactly the outcomes of a fresh scratch per path,
+/// and every hook type — tracer, observer, kernel profile, unit bias —
+/// must leave the outcome of the same stream untouched.
 #[test]
 fn model_zoo_outcomes_identical_with_reused_scratch() {
     let mut shared = SimScratch::new();
     for (name, net, goal_var) in model_zoo() {
-        let goal = match goal_var {
-            Some(v) => Goal::expr(Expr::var(net.var_id(v).unwrap())),
-            None => Goal::in_location(&net, "gps.error_GpsError", "permanent").unwrap(),
-        };
-        let property = TimedReach::new(goal, 100.0);
+        let property = zoo_property(&net, goal_var);
         let gen = PathGenerator::new(&net, &property, 10_000);
+        let obs = SimObserver::new(1);
+        let mut observer = PathObserver::new(&obs);
+        let mut profile = KernelProfile::new(profile_shape(&net));
+        let mut unit_bias = ImportanceBias::new(1.0);
         for kind in [StrategyKind::Asap, StrategyKind::Progressive, StrategyKind::MaxTime] {
             for seed in 0..20u64 {
-                let mut rng_a = slimsim::stats::rng::path_rng(7, seed);
-                let mut rng_b = slimsim::stats::rng::path_rng(7, seed);
+                let stream = || slimsim::stats::rng::path_rng(7, seed);
                 let a = gen
-                    .generate_with(&mut shared, kind.instantiate().as_mut(), &mut rng_a)
+                    .generate_with(
+                        &mut shared,
+                        kind.instantiate().as_mut(),
+                        &mut stream(),
+                        &mut NoHooks,
+                    )
                     .unwrap();
-                let b = gen.generate(kind.instantiate().as_mut(), &mut rng_b).unwrap();
+                let b = gen.generate(kind.instantiate().as_mut(), &mut stream()).unwrap();
                 assert_eq!(a, b, "{name}/{kind}/seed {seed}: reused scratch diverged");
+
+                let mut sink = MemorySink::default();
+                let traced = gen.generate_with(
+                    &mut shared,
+                    kind.instantiate().as_mut(),
+                    &mut stream(),
+                    &mut PathTracer::new(&net, &mut sink),
+                );
+                let observed = gen.generate_with(
+                    &mut shared,
+                    kind.instantiate().as_mut(),
+                    &mut stream(),
+                    &mut observer,
+                );
+                let profiled = gen.generate_with(
+                    &mut shared,
+                    kind.instantiate().as_mut(),
+                    &mut stream(),
+                    &mut profile,
+                );
+                unit_bias.clear();
+                let biased = gen.generate_with(
+                    &mut shared,
+                    kind.instantiate().as_mut(),
+                    &mut stream(),
+                    &mut unit_bias,
+                );
+                for (hook, out) in [
+                    ("tracer", traced),
+                    ("observer", observed),
+                    ("profile", profiled),
+                    ("bias 1", biased),
+                ] {
+                    assert_eq!(out.unwrap(), a, "{name}/{kind}/seed {seed}: {hook} hook diverged");
+                }
+                assert_eq!(unit_bias.weights(), [1.0], "{name}/{kind}/seed {seed}: weight");
+                let Some(TraceEvent::Verdict { steps, .. }) = sink.events.last() else {
+                    panic!("{name}/{kind}/seed {seed}: trace does not end in a verdict");
+                };
+                assert_eq!(*steps, a.steps);
             }
         }
+        // The observer saw every path it hooked, one batch each.
+        assert_eq!(obs.snapshot().counters["batch.batches"], 60, "{name}: observer batches");
+        assert!(profile.total_ops() > 0 || profile.delay_solve_count() > 0, "{name}: profile");
     }
 }
 
@@ -171,33 +221,54 @@ fn scalar_outcomes(gen: &PathGenerator<'_>, kind: StrategyKind, n: u64) -> Vec<P
     (0..n)
         .map(|i| {
             let mut rng = slimsim::stats::rng::path_rng(7, i);
-            gen.generate_with(&mut sim, kind.instantiate().as_mut(), &mut rng).unwrap()
+            gen.generate_with(&mut sim, kind.instantiate().as_mut(), &mut rng, &mut NoHooks)
+                .unwrap()
         })
         .collect()
 }
 
-/// The same `n` paths through the batched SoA kernel at lane width
-/// `lanes`, on a (possibly dirty) shared [`BatchScratch`].
-fn batched_outcomes(
+/// [`scalar_outcomes`] under an importance-sampling `boost`, with each
+/// path's likelihood weight.
+fn scalar_biased(
+    gen: &PathGenerator<'_>,
+    kind: StrategyKind,
+    n: u64,
+    boost: f64,
+) -> (Vec<PathOutcome>, Vec<f64>) {
+    let mut sim = SimScratch::new();
+    let mut bias = ImportanceBias::new(boost);
+    let outcomes = (0..n)
+        .map(|i| {
+            let mut rng = slimsim::stats::rng::path_rng(7, i);
+            gen.generate_with(&mut sim, kind.instantiate().as_mut(), &mut rng, &mut bias).unwrap()
+        })
+        .collect();
+    (outcomes, bias.weights().to_vec())
+}
+
+/// The same `n` paths through the batched driver at lane width `lanes`,
+/// on a (possibly dirty) shared [`BatchScratch`], driving `hooks`.
+fn batched_outcomes<H: PathHooks>(
     gen: &PathGenerator<'_>,
     kind: StrategyKind,
     n: u64,
     lanes: usize,
     scratch: &mut BatchScratch,
+    hooks: &mut H,
 ) -> Vec<PathOutcome> {
     let mut batch = Vec::new();
     let mut out = Vec::new();
     let mut i = 0u64;
     while i < n {
         let count = ((n - i) as usize).min(lanes);
-        gen.generate_batch_with(
+        gen.generate_batch_hooked(
             scratch,
             kind.instantiate().as_mut(),
             7,
             i,
             1,
             count,
-            None,
+            hooks,
             &mut batch,
         );
         out.extend(batch.drain(..).map(|r| r.unwrap()));
@@ -206,26 +277,42 @@ fn batched_outcomes(
     out
 }
 
-/// The batched kernel must reproduce the scalar per-path outcome stream
+/// The batched driver must reproduce the scalar per-path outcome stream
 /// *lane-exactly* on every zoo model: identical verdicts, step counts
 /// and end times at every lane width, because lane `j` of a batch
 /// starting at path `i` consumes exactly the RNG stream of path `i + j`.
-/// One `BatchScratch` is deliberately reused — dirty — across models,
-/// strategies and widths (including shrinking from 32 lanes back to 1),
-/// so stale lane state from a previous batch can never leak.
+/// The same holds under importance sampling, where the likelihood
+/// weights must match bit for bit too. One `BatchScratch` is
+/// deliberately reused — dirty — across models, strategies and widths
+/// (including shrinking from 32 lanes back to 1), so stale lane state
+/// from a previous batch can never leak.
 #[test]
 fn model_zoo_batched_matches_scalar_lane_exact() {
+    const BOOST: f64 = 4.0;
     let mut scratch = BatchScratch::new();
     for (name, net, goal_var) in model_zoo() {
         let property = zoo_property(&net, goal_var);
         let gen = PathGenerator::new(&net, &property, 10_000);
         for kind in [StrategyKind::Asap, StrategyKind::Progressive] {
             let scalar = scalar_outcomes(&gen, kind, 64);
+            let (scalar_b, scalar_w) = scalar_biased(&gen, kind, 64, BOOST);
             for lanes in [1usize, 4, 8, 32] {
-                let batched = batched_outcomes(&gen, kind, 64, lanes, &mut scratch);
+                let batched = batched_outcomes(&gen, kind, 64, lanes, &mut scratch, &mut NoHooks);
                 assert_eq!(
                     batched, scalar,
                     "{name}/{kind}: batched kernel diverged at lane width {lanes}"
+                );
+                let mut bias = ImportanceBias::new(BOOST);
+                let batched_b = batched_outcomes(&gen, kind, 64, lanes, &mut scratch, &mut bias);
+                assert_eq!(
+                    batched_b, scalar_b,
+                    "{name}/{kind}: biased batch diverged at lane width {lanes}"
+                );
+                let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(bias.weights()),
+                    bits(&scalar_w),
+                    "{name}/{kind}: biased weights diverged at lane width {lanes}"
                 );
             }
         }
@@ -281,7 +368,8 @@ fn pruned_batched_matches_scalar_lane_exact() {
         let gen = PathGenerator::new(&pruned, &property, 10_000);
         let scalar = scalar_outcomes(&gen, StrategyKind::Asap, 48);
         for lanes in [4usize, 32] {
-            let batched = batched_outcomes(&gen, StrategyKind::Asap, 48, lanes, &mut scratch);
+            let batched =
+                batched_outcomes(&gen, StrategyKind::Asap, 48, lanes, &mut scratch, &mut NoHooks);
             assert_eq!(batched, scalar, "{name}: pruned batched kernel diverged at width {lanes}");
         }
     }
@@ -342,14 +430,15 @@ fn golden_trace_reproduced_on_reused_scratch() {
     let mut scratch = SimScratch::new();
     for warm in 0..8 {
         let mut rng = slimsim::stats::rng::path_rng(seed ^ 0xdead, warm);
-        gen.generate_with(&mut scratch, kind.instantiate().as_mut(), &mut rng).unwrap();
+        gen.generate_with(&mut scratch, kind.instantiate().as_mut(), &mut rng, &mut NoHooks)
+            .unwrap();
     }
 
     let mut rng = slimsim::stats::rng::path_rng(seed, path_index);
     let mut sink = MemorySink::default();
     {
         let mut tracer = PathTracer::new(&net, &mut sink);
-        gen.generate_traced_with(&mut scratch, kind.instantiate().as_mut(), &mut rng, &mut tracer)
+        gen.generate_with(&mut scratch, kind.instantiate().as_mut(), &mut rng, &mut tracer)
             .expect("golden path regenerates");
     }
     let golden_body: Vec<&str> = text.lines().skip(1).filter(|l| !l.trim().is_empty()).collect();
@@ -358,8 +447,8 @@ fn golden_trace_reproduced_on_reused_scratch() {
     assert_eq!(regenerated_body, golden_body, "compiled kernel broke golden byte-identity");
 }
 
-/// Batching must not perturb trace capture: traced paths fall back to
-/// the scalar engine on the batch scratch's embedded `SimScratch`, and
+/// Batching must not perturb trace capture: traced paths run one at a
+/// time on the batch scratch's embedded `SimScratch`, and
 /// the committed golden trace must re-capture byte-identically even
 /// after batched (untraced) generation has dirtied every lane of that
 /// scratch.
@@ -397,19 +486,13 @@ fn golden_trace_byte_identical_with_batched_generation_active() {
         r.expect("warm-up batch paths succeed");
     }
 
-    // The traced path runs through the scalar fallback on the same
-    // (dirty) scratch.
+    // The traced path runs on the same (dirty) scratch.
     let mut rng = slimsim::stats::rng::path_rng(seed, path_index);
     let mut sink = MemorySink::default();
     {
         let mut tracer = PathTracer::new(&net, &mut sink);
-        gen.generate_traced_with(
-            scratch.sim_mut(),
-            kind.instantiate().as_mut(),
-            &mut rng,
-            &mut tracer,
-        )
-        .expect("golden path regenerates");
+        gen.generate_with(scratch.sim_mut(), kind.instantiate().as_mut(), &mut rng, &mut tracer)
+            .expect("golden path regenerates");
     }
     let golden_body: Vec<&str> = text.lines().skip(1).filter(|l| !l.trim().is_empty()).collect();
     let regenerated = events_to_json_lines(&sink.events);

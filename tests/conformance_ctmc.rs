@@ -142,7 +142,7 @@ fn sequential_generators_conform_on_sensor_filter() {
     }
 }
 
-/// The batched SoA kernel, explicitly exercised at lane widths away from
+/// The batched driver, explicitly exercised at lane widths away from
 /// the default (including `1`, which disables batching), must conform to
 /// the same CTMC references. Lane determinism makes all widths produce
 /// the *same* estimate, so a conformance failure here isolates a batched

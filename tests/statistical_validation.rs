@@ -100,13 +100,16 @@ fn importance_sampling_unbiased_on_model() {
     let exact = 1.0 - (-lambda).exp();
 
     let gen = PathGenerator::new(&net, &prop, 10_000);
+    let mut scratch = SimScratch::new();
     for boost in [5.0, 20.0] {
         let mut est = WeightedEstimator::new(0.05, 0.95);
         let mut strategy = Asap;
+        let mut bias = ImportanceBias::new(boost);
         for i in 0..20_000u64 {
             let mut rng = path_rng(derive_seed(4, boost as u64), i);
-            let (out, w) = gen.generate_biased(&mut strategy, &mut rng, boost).unwrap();
-            est.add(out.verdict.is_success(), w);
+            bias.clear();
+            let out = gen.generate_with(&mut scratch, &mut strategy, &mut rng, &mut bias).unwrap();
+            est.add(out.verdict.is_success(), bias.weights()[0]);
         }
         let e = est.estimate();
         let rel = (e.mean - exact).abs() / exact;
@@ -134,12 +137,17 @@ fn bias_one_weights_are_exactly_one() {
     let prop = TimedReach::new(goal, 100.0);
     let gen = PathGenerator::new(&net, &prop, 10_000);
     let mut strategy = Asap;
+    let mut scratch = SimScratch::new();
+    let mut bias = ImportanceBias::new(1.0);
     for i in 0..50 {
         let mut rng = path_rng(5, i);
-        let (out, w) = gen.generate_biased(&mut strategy, &mut rng, 1.0).unwrap();
+        let out = gen.generate_with(&mut scratch, &mut strategy, &mut rng, &mut bias).unwrap();
         assert_eq!(out.verdict, Verdict::Satisfied);
+    }
+    for &w in bias.weights() {
         assert!((w - 1.0).abs() < 1e-12, "weight {w} != 1 with bias 1");
     }
+    assert_eq!(bias.weights().len(), 50);
 }
 
 /// Parallel analysis coverage on a real model: repeated parallel runs

@@ -143,7 +143,8 @@ fn golden_witness_replays_after_process_restart() {
     let gen = PathGenerator::new(&net, &property, max_steps);
     {
         let mut tracer = PathTracer::new(&net, &mut sink);
-        gen.generate_traced(strat.as_mut(), &mut rng, &mut tracer).expect("path regenerates");
+        gen.generate_with(&mut SimScratch::new(), strat.as_mut(), &mut rng, &mut tracer)
+            .expect("path regenerates");
     }
     let golden_body: Vec<&str> = text.lines().skip(1).filter(|l| !l.trim().is_empty()).collect();
     let regenerated = events_to_json_lines(&sink.events);
