@@ -252,14 +252,22 @@ mod tests {
 
     #[test]
     fn analyze_report_then_validate() {
+        // Sequential stopping rules sample past completion (lane overshoot
+        // with one worker, in-flight paths with several); the report must
+        // still count exactly the consumed samples.
         let path = tmp("slimsim_test_report_cmd.json");
-        let a = args(&format!(
-            "analyze sensor-filter --size 2 --bound 1.0 --epsilon 0.2 --delta 0.2 --quiet --report {}",
-            path.display()
-        ));
-        super::super::analyze::run(&a).expect("analysis with report succeeds");
-        let v = args(&format!("report {} --quiet", path.display()));
-        run(&v).expect("fresh report validates");
+        for generator in ["ch", "gauss", "chow-robbins"] {
+            for workers in [1, 2] {
+                let a = args(&format!(
+                    "analyze sensor-filter --size 2 --bound 1.0 --epsilon 0.1 --delta 0.1 \
+                     --generator {generator} --workers {workers} --quiet --report {}",
+                    path.display()
+                ));
+                super::super::analyze::run(&a).expect("analysis with report succeeds");
+                let v = args(&format!("report {} --quiet", path.display()));
+                run(&v).unwrap_or_else(|e| panic!("{generator} workers={workers}: {e}"));
+            }
+        }
         let _ = std::fs::remove_file(&path);
     }
 

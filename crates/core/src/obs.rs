@@ -172,7 +172,8 @@ impl SimObserver {
     }
 
     /// Installs a progress callback, invoked by the runner's consuming
-    /// thread after each accepted sample with `(consumed, known_target)`.
+    /// thread after each consumed block of samples with `(consumed,
+    /// known_target, estimate)`.
     /// Throttling is the callback's job (see `slim_obs::ProgressMeter`).
     #[must_use]
     pub fn with_progress(mut self, f: ProgressFn) -> SimObserver {
@@ -256,22 +257,10 @@ impl SimObserver {
         }
     }
 
-    /// Attributes one path to worker `w` (called by the runner). Indices
-    /// beyond the observer's worker count are counted globally but not
-    /// attributed.
-    pub(crate) fn record_worker_path(&self, w: usize, outcome: &PathOutcome, busy: Duration) {
-        if let Some(ids) = self.workers.get(w) {
-            self.registry.inc(ids.paths);
-            if outcome.verdict.is_success() {
-                self.registry.inc(ids.satisfied);
-            }
-            self.registry.add(ids.busy_nanos, busy.as_nanos() as u64);
-        }
-    }
-
-    /// Attributes `paths` paths (of which `satisfied` succeeded, each
-    /// busy for `busy_each`) to worker `w` in one counter pass — the
-    /// aggregate of `paths` [`Self::record_worker_path`] calls.
+    /// Attributes `paths` consumed paths (of which `satisfied` succeeded,
+    /// each busy for `busy_each`) to worker `w` in one counter pass
+    /// (called by the runner). Indices beyond the observer's worker count
+    /// are not attributed.
     pub(crate) fn record_worker_batch(
         &self,
         w: usize,
@@ -292,7 +281,7 @@ impl SimObserver {
     }
 
     /// Records one drain of the round-robin collector: how many samples
-    /// the batch contained, how many remained buffered afterwards, and
+    /// it consumed, how many blocks remained buffered afterwards, and
     /// the wall-clock gap since the previous drain.
     pub(crate) fn record_drain(&self, batch: usize, buffered_after: usize, gap: Duration) {
         self.registry.inc(self.c_rounds_drained);
@@ -386,7 +375,7 @@ struct Tally {
 /// [`PathDetail`], sums the batch's successful lanes, and flushes the sum
 /// together with the lane utilization to a [`SimObserver`] once per
 /// batch, attributing the batch's wall time evenly across its paths.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PathObserver<'o> {
     obs: &'o SimObserver,
     started: Instant,
@@ -407,6 +396,11 @@ impl<'o> PathObserver<'o> {
             moves: 0,
             tally: Tally::default(),
         }
+    }
+
+    /// Times the next batch from now.
+    pub(crate) fn restart(&mut self) {
+        self.started = Instant::now();
     }
 }
 
@@ -527,9 +521,9 @@ mod tests {
     #[test]
     fn worker_attribution_and_out_of_range_guard() {
         let obs = SimObserver::new(2);
-        obs.record_worker_path(0, &outcome(Verdict::Satisfied, 1), Duration::from_micros(10));
-        obs.record_worker_path(1, &outcome(Verdict::TimeBoundExceeded, 1), Duration::ZERO);
-        obs.record_worker_path(7, &outcome(Verdict::Satisfied, 1), Duration::ZERO); // ignored
+        obs.record_worker_batch(0, 1, 1, Duration::from_micros(10));
+        obs.record_worker_batch(1, 1, 0, Duration::ZERO);
+        obs.record_worker_batch(7, 1, 1, Duration::ZERO); // ignored
         let ws = obs.worker_stats();
         assert_eq!(ws.len(), 2);
         assert_eq!(ws[0], WorkerStat { paths: 1, satisfied: 1, busy_nanos: 10_000 });

@@ -2,31 +2,35 @@
 //! generator is satisfied, sequentially or in parallel (§III-C).
 //!
 //! Reproducibility: path `i` always consumes RNG stream `derive(seed, i)`,
-//! so the set of generated paths is identical for any worker count; with
-//! sequential stopping rules the *order* samples are consumed in is fixed
-//! by the round-robin collector, making results deterministic given
-//! `(seed, workers)`.
+//! and the estimator consumes outcomes in path-index order whatever the
+//! worker count. Workers sample *blocks* of consecutive path indices,
+//! handed out block-cyclically — worker `w` of `k` takes blocks `w`,
+//! `w + k`, `w + 2k`, … — and the round-robin collector releases whole
+//! blocks in block order. Workers may finish in any order; the consumed
+//! sequence, and with it the estimate, the path statistics, witness
+//! selection and the convergence series, does not depend on it.
 //!
 //! The runner is written against a small [`PathSource`] seam rather than
-//! the engine directly, so its concurrency protocol — quota splitting,
+//! the engine directly, so its concurrency protocol — block distribution,
 //! round-robin collection, completion, failure propagation — is testable
 //! with deterministic mock samplers (panics, locks, slow late paths).
 
 use crate::config::{DeadlockPolicy, SimConfig};
-use crate::engine::{BatchScratch, PathGenerator};
+use crate::engine::{BatchScratch, NoHooks, PathGenerator, PathHooks};
 use crate::error::SimError;
-use crate::obs::SimObserver;
+use crate::obs::{PathObserver, SimObserver};
 use crate::preverdict::{pre_verdict_with, PreVerdict};
 use crate::property::TimedReach;
 use crate::strategy::Strategy;
-use crate::verdict::{PathOutcome, PathStats, Verdict};
+use crate::verdict::{PathOutcome, PathStats};
 use slim_automata::prelude::{profile_shape, Network};
 use slim_obs::profile::KernelProfile;
 use slim_obs::report::ConvergencePoint;
 use slim_stats::chernoff::Accuracy;
 use slim_stats::estimator::{Estimate, Generator};
-use slim_stats::parallel::{split_workload, RoundRobinCollector};
+use slim_stats::parallel::RoundRobinCollector;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Result of a statistical analysis run.
@@ -66,50 +70,100 @@ pub(crate) trait PathSource: Sync {
     /// Creates a fresh workspace (once per worker, not per path).
     fn make_scratch(&self) -> Self::Scratch;
 
-    /// Generates the outcomes of the `count` paths at indices `start`,
-    /// `start + stride`, `start + 2·stride`, …, clearing `out` and
-    /// pushing one result per path in index order.
-    #[allow(clippy::too_many_arguments)]
+    /// Generates the outcomes of the `count` consecutive paths from index
+    /// `start`, clearing `out` and pushing one result per path in index
+    /// order.
     fn sample_batch(
         &self,
         start: u64,
-        stride: u64,
         count: usize,
         scratch: &mut Self::Scratch,
         strategy: &mut dyn Strategy,
-        obs: Option<&SimObserver>,
         out: &mut Vec<Result<PathOutcome, SimError>>,
     );
+
+    /// Takes back the workspace of a worker that has finished sampling.
+    fn finish_scratch(&self, scratch: Self::Scratch) {
+        let _ = scratch;
+    }
 
     /// Size of one simulation state in bytes (for the memory estimate).
     fn state_bytes(&self) -> usize;
 }
 
-/// The production source: the engine's batched driver, seeded per path
-/// index.
-struct EngineSource<'a> {
-    gen: PathGenerator<'a>,
-    seed: u64,
+/// The engine hooks one worker drives. Every worker starts from a clone
+/// of the run's hooks; [`EngineSource`] absorbs them back when the worker
+/// finishes.
+trait WorkerHooks: PathHooks + Clone + Send + Sync {
+    /// Called before every driver call.
+    fn begin_batch(&mut self) {}
+
+    /// Folds the hooks of a finished worker into `self`.
+    fn absorb(&mut self, finished: Self) {
+        let _ = finished;
+    }
 }
 
-impl PathSource for EngineSource<'_> {
-    type Scratch = BatchScratch;
+impl WorkerHooks for NoHooks {}
 
-    fn make_scratch(&self) -> BatchScratch {
-        BatchScratch::new()
+impl WorkerHooks for PathObserver<'_> {
+    /// Times each batch from its own start rather than from the previous
+    /// flush, which would bill the consumer's work to the next batch.
+    fn begin_batch(&mut self) {
+        self.restart();
+    }
+}
+
+/// Profiles merge with wrapping adds, which commute: the merged profile
+/// does not depend on the order workers finish in.
+impl WorkerHooks for KernelProfile {
+    fn absorb(&mut self, finished: KernelProfile) {
+        self.merge(&finished);
+    }
+}
+
+/// The production source: the engine's batched driver, seeded per path
+/// index, with per-worker hooks.
+struct EngineSource<'a, H> {
+    gen: PathGenerator<'a>,
+    seed: u64,
+    /// Every worker's hooks start as a clone of this value.
+    hooks: H,
+    /// A clone of `hooks` that absorbed the hooks of every finished worker.
+    finished: Mutex<H>,
+}
+
+impl<'a, H: WorkerHooks> EngineSource<'a, H> {
+    fn new(gen: PathGenerator<'a>, seed: u64, hooks: H) -> Self {
+        EngineSource { gen, seed, finished: Mutex::new(hooks.clone()), hooks }
+    }
+
+    fn into_hooks(self) -> H {
+        self.finished.into_inner().expect("no worker panics while absorbing")
+    }
+}
+
+impl<H: WorkerHooks> PathSource for EngineSource<'_, H> {
+    type Scratch = (BatchScratch, H);
+
+    fn make_scratch(&self) -> (BatchScratch, H) {
+        (BatchScratch::new(), self.hooks.clone())
     }
 
     fn sample_batch(
         &self,
         start: u64,
-        stride: u64,
         count: usize,
-        scratch: &mut BatchScratch,
+        (scratch, hooks): &mut (BatchScratch, H),
         strategy: &mut dyn Strategy,
-        obs: Option<&SimObserver>,
         out: &mut Vec<Result<PathOutcome, SimError>>,
     ) {
-        self.gen.generate_batch_with(scratch, strategy, self.seed, start, stride, count, obs, out);
+        hooks.begin_batch();
+        self.gen.generate_batch_hooked(scratch, strategy, self.seed, start, 1, count, hooks, out);
+    }
+
+    fn finish_scratch(&self, (_, hooks): (BatchScratch, H)) {
+        self.finished.lock().expect("no worker panics while absorbing").absorb(hooks);
     }
 
     fn state_bytes(&self) -> usize {
@@ -147,51 +201,34 @@ pub fn analyze_observed(
     config: &SimConfig,
     obs: Option<&SimObserver>,
 ) -> Result<AnalysisResult, SimError> {
-    if config.static_pre_verdicts {
-        let start = Instant::now();
-        let verdict = pre_verdict_with(net, property, config.zone_pre_verdicts);
-        if let Some(p) = verdict.exact_probability() {
-            return Ok(exact_result(net, verdict, p, start, obs));
-        }
-    }
-    let source = EngineSource {
-        gen: PathGenerator::new(net, property, config.max_steps),
-        seed: config.seed,
-    };
-    if config.workers <= 1 {
-        analyze_sequential_impl(&source, config, obs)
-    } else {
-        analyze_parallel_impl(&source, config, obs)
+    match obs {
+        Some(o) => Ok(analyze_with_hooks(net, property, config, obs, PathObserver::new(o))?.0),
+        None => Ok(analyze_with_hooks(net, property, config, None, NoHooks)?.0),
     }
 }
 
 /// Runs the statistical analysis with the kernel profiler attached,
 /// returning the merged [`KernelProfile`] alongside the analysis result.
 ///
+/// This is [`analyze_observed`] with a [`KernelProfile`] as every
+/// worker's engine hooks, and with the static pre-verdict short-circuit
+/// skipped: a decisive pre-verdict samples zero paths, leaving nothing
+/// to profile. The observer still sees every consumed sample — witness
+/// selection, the convergence series and progress are those of the
+/// unprofiled run.
+///
 /// Determinism contract: the profile is a pure function of `(model,
 /// property, seed, accuracy, batch_lanes)` — in particular it is
-/// byte-identical for every worker count. Three ingredients make this
-/// hold:
-///
-/// * profiling requires a generator with an a-priori known sample target
-///   (the Chernoff–Hoeffding bound), so the sampled path set is exactly
-///   `0..target` with no completion race between workers;
-/// * paths are partitioned into blocks of `batch_lanes` *consecutive*
-///   indices distributed block-cyclically over the workers, so batch
-///   composition — and with it the lane-utilization histogram — does not
-///   depend on the worker count;
-/// * per-worker profiles are merged with wrapping adds in worker-index
-///   order, and the static pre-verdict short-circuit is skipped (a
-///   decisive pre-verdict samples zero paths, leaving nothing to
-///   profile).
-///
-/// Outcomes are consumed in path-index order, so the estimate, the
-/// deadlock policy and error propagation match the sequential runner
-/// exactly.
+/// byte-identical for every worker count. Profiling requires a generator
+/// with an a-priori known sample target (the Chernoff–Hoeffding bound),
+/// so the sampled path set is exactly `0..target`; the runner samples it
+/// in the same `batch_lanes`-wide blocks of consecutive indices for every
+/// worker count, so batch composition does not change either; and
+/// worker profiles merge with commutative wrapping adds.
 ///
 /// # Errors
 /// * [`SimError::InvalidInput`] when `config.generator` has no known
-///   sample target (sequential stopping rules consume a
+///   sample target (sequential stopping rules sample a
 ///   worker-count-dependent path set — there is no deterministic profile
 ///   to report);
 /// * everything [`analyze`] can raise.
@@ -201,109 +238,42 @@ pub fn analyze_profiled(
     config: &SimConfig,
     obs: Option<&SimObserver>,
 ) -> Result<(AnalysisResult, KernelProfile), SimError> {
-    let start = Instant::now();
-    let mut generator = config.generator.instantiate(config.accuracy);
-    let Some(target) = generator.known_target() else {
+    if config.generator.instantiate(config.accuracy).known_target().is_none() {
         return Err(SimError::InvalidInput {
             detail: "profiling requires a fixed-target generator (chernoff); sequential \
                      stopping rules sample a worker-count-dependent path set"
                 .to_string(),
         });
-    };
-    let gen = PathGenerator::new(net, property, config.max_steps);
-    let shape = profile_shape(net);
-    let workers = config.workers.max(1);
-    let lanes = config.batch_lanes.max(1) as u64;
-    let n_blocks = target.div_ceil(lanes);
-
-    // Worker w simulates blocks w, w + workers, w + 2·workers, … into a
-    // local profile and a local queue of per-block outcome vectors.
-    type BlockOutcomes = Vec<Vec<Result<PathOutcome, SimError>>>;
-    let joined: Vec<std::thread::Result<(KernelProfile, BlockOutcomes)>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let gen = &gen;
-                    let shape = &shape;
-                    scope.spawn(move || {
-                        let mut prof = KernelProfile::new(shape.clone());
-                        let mut strategy = config.strategy.instantiate();
-                        let mut scratch = BatchScratch::new();
-                        let mut blocks: BlockOutcomes = Vec::new();
-                        let mut b = w as u64;
-                        while b < n_blocks {
-                            let first = b * lanes;
-                            let count = (target - first).min(lanes) as usize;
-                            let block_t0 = obs.map(|_| Instant::now());
-                            let mut out = Vec::with_capacity(count);
-                            gen.generate_batch_hooked(
-                                &mut scratch,
-                                strategy.as_mut(),
-                                config.seed,
-                                first,
-                                1,
-                                count,
-                                &mut prof,
-                                &mut out,
-                            );
-                            if let (Some(o), Some(t0)) = (obs, block_t0) {
-                                let satisfied = out
-                                    .iter()
-                                    .filter(|r| matches!(r, Ok(oc) if oc.verdict.is_success()))
-                                    .count();
-                                o.record_worker_batch(
-                                    w,
-                                    count as u64,
-                                    satisfied as u64,
-                                    t0.elapsed() / count.max(1) as u32,
-                                );
-                            }
-                            blocks.push(out);
-                            b += workers as u64;
-                        }
-                        (prof, blocks)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-
-    let mut profile = KernelProfile::new(shape);
-    let mut queues: Vec<std::vec::IntoIter<Vec<Result<PathOutcome, SimError>>>> =
-        Vec::with_capacity(workers);
-    for res in joined {
-        let (wprof, blocks) =
-            res.map_err(|p| SimError::WorkerFailed { detail: panic_message(p.as_ref()) })?;
-        profile.merge(&wprof);
-        queues.push(blocks.into_iter());
     }
+    let config = config.with_static_pre_verdicts(false);
+    analyze_with_hooks(net, property, &config, obs, KernelProfile::new(profile_shape(net)))
+}
 
-    // Consume outcomes in global path-index order: block b lives at the
-    // front of worker (b mod workers)'s queue.
-    let mut stats = PathStats::default();
-    for b in 0..n_blocks {
-        let block = queues[(b % workers as u64) as usize].next().expect("block schedule");
-        for out in block {
-            let outcome = out?;
-            check_deadlock_policy(config, &outcome)?;
-            stats.record(&outcome);
-            if !generator.is_complete() {
-                generator.add(outcome.verdict.is_success());
-            }
+/// Runs the analysis with clones of `hooks` driving every worker's
+/// engine, returning the result and the hooks with every worker's
+/// absorbed.
+fn analyze_with_hooks<H: WorkerHooks>(
+    net: &Network,
+    property: &TimedReach,
+    config: &SimConfig,
+    obs: Option<&SimObserver>,
+    hooks: H,
+) -> Result<(AnalysisResult, H), SimError> {
+    if config.static_pre_verdicts {
+        let start = Instant::now();
+        let verdict = pre_verdict_with(net, property, config.zone_pre_verdicts);
+        if let Some(p) = verdict.exact_probability() {
+            return Ok((exact_result(net, verdict, p, start, obs), hooks));
         }
     }
-
-    let sim_wall = start.elapsed();
-    let result = finish_run(
-        start,
-        generator.as_ref(),
-        config.accuracy,
-        stats,
-        net.state_size_bytes(),
-        obs,
-        sim_wall,
-    );
-    Ok((result, profile))
+    let gen = PathGenerator::new(net, property, config.max_steps);
+    let source = EngineSource::new(gen, config.seed, hooks);
+    let result = if config.workers <= 1 {
+        analyze_sequential_impl(&source, config, obs)
+    } else {
+        analyze_parallel_impl(&source, config, obs)
+    }?;
+    Ok((result, source.into_hooks()))
 }
 
 /// Builds the zero-sample result of a decisive static pre-verdict. The
@@ -378,39 +348,111 @@ impl ConvergenceSchedule {
     }
 }
 
-fn finish_run(
-    start: Instant,
-    generator: &dyn Generator,
-    accuracy: Accuracy,
+/// The estimator side of a run, shared by the sequential and parallel
+/// runners. It consumes outcomes in path-index order, and only consumed
+/// samples reach the estimate, the path statistics, the per-worker
+/// attribution and the deadlock policy; paths sampled past completion
+/// are dropped unseen.
+struct Consumer<'r> {
+    config: &'r SimConfig,
+    obs: Option<&'r SimObserver>,
+    generator: Box<dyn Generator>,
     stats: PathStats,
-    state_bytes: usize,
-    obs: Option<&SimObserver>,
-    sim_wall: Duration,
-) -> AnalysisResult {
-    let est_start = Instant::now();
-    let estimate = generator.estimate();
-    if let Some(o) = obs {
-        o.record_phase("simulate", sim_wall);
-        o.record_phase("estimate", est_start.elapsed());
-        let est = current_estimate(generator, accuracy);
-        // Close the convergence series at the final sample count (the
-        // observer drops it if the last checkpoint already sits there).
-        if let Some((mean, half_width)) = est {
-            o.record_convergence(ConvergencePoint {
-                samples: generator.samples(),
-                mean,
-                half_width,
-            });
+    convergence: ConvergenceSchedule,
+    /// Path index of the next sample to consume.
+    next: u64,
+    start: Instant,
+}
+
+impl<'r> Consumer<'r> {
+    fn new(config: &'r SimConfig, obs: Option<&'r SimObserver>) -> Consumer<'r> {
+        Consumer {
+            config,
+            obs,
+            generator: config.generator.instantiate(config.accuracy),
+            stats: PathStats::default(),
+            convergence: ConvergenceSchedule::new(),
+            next: 0,
+            start: Instant::now(),
         }
-        o.on_progress(generator.samples(), generator.known_target(), est);
     }
-    AnalysisResult {
-        estimate,
-        stats,
-        wall: start.elapsed(),
-        approx_memory_bytes: approx_memory(state_bytes, &stats),
-        pre_verdict: PreVerdict::Unknown,
+
+    fn is_complete(&self) -> bool {
+        self.generator.is_complete()
     }
+
+    /// Consumes the block of paths from index `self.next` on, sampled by
+    /// `worker` at `busy_each` per path, until the generator completes.
+    /// Returns how many samples it consumed. An `Err` outcome, or a lock
+    /// under [`DeadlockPolicy::Error`], aborts the run.
+    fn consume(
+        &mut self,
+        worker: usize,
+        outcomes: impl IntoIterator<Item = Result<PathOutcome, SimError>>,
+        busy_each: Duration,
+    ) -> Result<u64, SimError> {
+        let (mut paths, mut satisfied) = (0u64, 0u64);
+        for out in outcomes {
+            if self.generator.is_complete() {
+                break;
+            }
+            let outcome = out?;
+            check_deadlock_policy(self.config, &outcome)?;
+            let success = outcome.verdict.is_success();
+            self.stats.record(&outcome);
+            self.generator.add(success);
+            if let Some(o) = self.obs {
+                o.offer_witness(self.next, outcome.verdict);
+                self.convergence.after_sample(self.generator.as_ref(), self.config.accuracy, o);
+            }
+            self.next += 1;
+            paths += 1;
+            satisfied += u64::from(success);
+        }
+        if let Some(o) = self.obs {
+            o.record_worker_batch(worker, paths, satisfied, busy_each);
+            o.on_progress(
+                self.generator.samples(),
+                self.generator.known_target(),
+                current_estimate(self.generator.as_ref(), self.config.accuracy),
+            );
+        }
+        Ok(paths)
+    }
+
+    fn finish(self, state_bytes: usize) -> AnalysisResult {
+        let sim_wall = self.start.elapsed();
+        let est_start = Instant::now();
+        let generator = self.generator.as_ref();
+        let estimate = generator.estimate();
+        if let Some(o) = self.obs {
+            o.record_phase("simulate", sim_wall);
+            o.record_phase("estimate", est_start.elapsed());
+            let est = current_estimate(generator, self.config.accuracy);
+            // Close the convergence series at the final sample count (the
+            // observer drops it if the last checkpoint already sits there).
+            if let Some((mean, half_width)) = est {
+                o.record_convergence(ConvergencePoint {
+                    samples: generator.samples(),
+                    mean,
+                    half_width,
+                });
+            }
+            o.on_progress(generator.samples(), generator.known_target(), est);
+        }
+        AnalysisResult {
+            estimate,
+            stats: self.stats,
+            wall: self.start.elapsed(),
+            approx_memory_bytes: approx_memory(state_bytes, &self.stats),
+            pre_verdict: PreVerdict::Unknown,
+        }
+    }
+}
+
+/// Wall time per path of a batch of `count` paths sampled since `t0`.
+fn per_path(t0: Option<Instant>, count: usize) -> Duration {
+    t0.map_or(Duration::ZERO, |t0| t0.elapsed() / count.max(1) as u32)
 }
 
 fn analyze_sequential_impl<S: PathSource>(
@@ -418,92 +460,36 @@ fn analyze_sequential_impl<S: PathSource>(
     config: &SimConfig,
     obs: Option<&SimObserver>,
 ) -> Result<AnalysisResult, SimError> {
-    let start = Instant::now();
-    let mut generator = config.generator.instantiate(config.accuracy);
+    let mut run = Consumer::new(config, obs);
     let mut strategy = config.strategy.instantiate();
     let mut scratch = source.make_scratch();
-    let mut stats = PathStats::default();
-    let mut convergence = ConvergenceSchedule::new();
-    let mut index: u64 = 0;
-    let lanes = config.batch_lanes.max(1);
+    let lanes = config.batch_lanes.max(1) as u64;
     let mut batch: Vec<Result<PathOutcome, SimError>> = Vec::new();
 
-    while !generator.is_complete() {
+    while !run.is_complete() {
         // Batch width: never overshoot a known sample target, so a
-        // fixed-count (Chernoff) run samples exactly its target and the
-        // estimate matches the scalar loop bit-for-bit. Sequential
-        // stopping rules have no target; an overshoot of at most
-        // `lanes − 1` paths is drained below under the same consumption
-        // gating the parallel collector applies to in-flight samples.
-        let count = match generator.known_target() {
-            Some(n) => n.saturating_sub(generator.samples()).min(lanes as u64).max(1) as usize,
+        // fixed-count (Chernoff) run samples exactly its target, in the
+        // same blocks the parallel runner hands out. Sequential stopping
+        // rules have no target; the consumer drops an overshoot of at
+        // most `lanes − 1` paths.
+        let count = match run.generator.known_target() {
+            Some(n) => n.saturating_sub(run.next).clamp(1, lanes),
             None => lanes,
-        };
+        } as usize;
         let sampled_at = obs.map(|_| Instant::now());
-        source.sample_batch(index, 1, count, &mut scratch, strategy.as_mut(), obs, &mut batch);
-        let per_path = sampled_at.map(|t0| t0.elapsed() / count as u32);
-        // Worker attribution is flushed once per batch (one counter pass
-        // instead of one per path) — the totals are identical.
-        let mut w_paths = 0u64;
-        let mut w_satisfied = 0u64;
-        let flush_worker = |o: Option<&SimObserver>, paths: u64, satisfied: u64| {
-            if let (Some(o), Some(d)) = (o, per_path) {
-                o.record_worker_batch(0, paths, satisfied, d);
-            }
-        };
-        for (j, res) in batch.drain(..).enumerate() {
-            let complete = generator.is_complete();
-            match res {
-                Ok(outcome) => {
-                    if !complete {
-                        if let Err(e) = check_deadlock_policy(config, &outcome) {
-                            flush_worker(obs, w_paths, w_satisfied);
-                            return Err(e);
-                        }
-                    }
-                    if per_path.is_some() {
-                        w_paths += 1;
-                        w_satisfied += u64::from(outcome.verdict.is_success());
-                    }
-                    stats.record(&outcome);
-                    if !complete {
-                        generator.add(outcome.verdict.is_success());
-                        if let Some(o) = obs {
-                            o.offer_witness(index + j as u64, outcome.verdict);
-                            convergence.after_sample(generator.as_ref(), config.accuracy, o);
-                            o.on_progress(
-                                generator.samples(),
-                                generator.known_target(),
-                                current_estimate(generator.as_ref(), config.accuracy),
-                            );
-                        }
-                    }
-                }
-                // An error past completion belongs to a path the scalar
-                // loop would never have sampled: ignore it, like the
-                // parallel drain ignores late worker errors.
-                Err(e) => {
-                    if !complete {
-                        flush_worker(obs, w_paths, w_satisfied);
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        flush_worker(obs, w_paths, w_satisfied);
-        index += count as u64;
+        source.sample_batch(run.next, count, &mut scratch, strategy.as_mut(), &mut batch);
+        run.consume(0, batch.drain(..), per_path(sampled_at, count))?;
     }
+    source.finish_scratch(scratch);
+    Ok(run.finish(source.state_bytes()))
+}
 
-    let sim_wall = start.elapsed();
-    Ok(finish_run(
-        start,
-        generator.as_ref(),
-        config.accuracy,
-        stats,
-        source.state_bytes(),
-        obs,
-        sim_wall,
-    ))
+/// One worker's message: the outcomes of a block of consecutive paths.
+struct Block {
+    worker: usize,
+    outcomes: Vec<Result<PathOutcome, SimError>>,
+    /// Wall time per path.
+    busy_each: Duration,
 }
 
 fn analyze_parallel_impl<S: PathSource>(
@@ -511,31 +497,21 @@ fn analyze_parallel_impl<S: PathSource>(
     config: &SimConfig,
     obs: Option<&SimObserver>,
 ) -> Result<AnalysisResult, SimError> {
-    let start = Instant::now();
-    let mut generator = config.generator.instantiate(config.accuracy);
+    let mut run = Consumer::new(config, obs);
     let workers = config.workers;
-    let lanes = config.batch_lanes.max(1);
+    let target = run.generator.known_target();
+    // With a known target, workers sample `batch_lanes`-wide blocks: the
+    // sequential runner's batches. Sequential stopping rules hand out
+    // single paths: completion must be able to react between outcomes,
+    // and a block finished as a unit would deliver its early outcomes as
+    // late as its slowest lane.
+    let block = if target.is_some() { config.batch_lanes.max(1) as u64 } else { 1 };
     let stop = AtomicBool::new(false);
-
-    // With an a-priori known sample count (CH bound), split statically:
-    // each worker computes its share (§III-C's trivial solution). With
-    // sequential generators the workers run until told to stop, and the
-    // round-robin collector removes arrival-order bias.
-    let quota: Option<Vec<u64>> = generator.known_target().map(|n| split_workload(n, workers));
-
-    let mut collector: RoundRobinCollector<Verdict> = RoundRobinCollector::new(workers);
-    let mut stats = PathStats::default();
+    let mut collector: RoundRobinCollector<Block> = RoundRobinCollector::new(workers);
     // Reused across every drain; the collector appends complete rounds
-    // into it instead of allocating a fresh Vec per received sample. It
-    // carries full verdicts (not just success flags) so witness selection
-    // sees the deterministic consumption order.
-    let mut round_buf: Vec<Verdict> = Vec::new();
+    // into it instead of allocating a fresh Vec per received block.
+    let mut rounds: Vec<Block> = Vec::new();
     let mut last_drain = Instant::now();
-    let mut convergence = ConvergenceSchedule::new();
-    // Before the stop flag is raised every drained round is complete
-    // (worker 0 first), so the j-th consumed sample is exactly path
-    // index j — the invariant witness capture builds on.
-    let mut consumed: u64 = 0;
 
     // A panic escaping a worker (or the drain loop) propagates out of
     // `std::thread::scope`; map that to a structured error as a backstop —
@@ -543,68 +519,42 @@ fn analyze_parallel_impl<S: PathSource>(
     // protocol can react *before* the scope unwinds.
     let scoped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         std::thread::scope(|scope| -> Result<(), SimError> {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, Result<PathOutcome, SimError>)>(
-                workers * 64,
-            );
+            let (tx, rx) = std::sync::mpsc::sync_channel::<Block>(workers * 64);
             for w in 0..workers {
                 let tx = tx.clone();
                 let stop = &stop;
-                let quota = quota.as_ref().map(|q| q[w]);
-                let strategy_kind = config.strategy;
                 scope.spawn(move || {
                     let body = std::panic::AssertUnwindSafe(|| {
-                        let mut strategy = strategy_kind.instantiate();
+                        let mut strategy = config.strategy.instantiate();
                         // Created inside the worker: the scratch never
                         // crosses threads, so it needs no Send bound.
                         let mut scratch = source.make_scratch();
-                        // Worker w handles path indices w, w + k, w + 2k, …
-                        let mut index = w as u64;
-                        let mut produced: u64 = 0;
-                        let mut batch: Vec<Result<PathOutcome, SimError>> = Vec::new();
-                        'work: loop {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            // Quota'd (fixed-target) runs batch up to the
-                            // configured lane width — the target is known
-                            // a priori, so whole lanes can be committed.
-                            // Sequential stopping rules sample one path at
-                            // a time: completion must be able to react
-                            // between outcomes, and a batch finished as a
-                            // unit would deliver its early outcomes as
-                            // late as its slowest lane.
-                            let count = match quota {
-                                Some(q) => {
-                                    if produced >= q {
-                                        break;
-                                    }
-                                    (q - produced).min(lanes as u64) as usize
-                                }
-                                None => 1,
-                            };
+                        // Worker w samples blocks w, w + k, w + 2k, …
+                        let mut first = w as u64 * block;
+                        while !stop.load(Ordering::Relaxed) {
+                            let count = match target {
+                                Some(n) if first >= n => break,
+                                Some(n) => (n - first).min(block),
+                                None => block,
+                            } as usize;
                             let sampled_at = obs.map(|_| Instant::now());
+                            let mut outcomes = Vec::with_capacity(count);
                             source.sample_batch(
-                                index,
-                                workers as u64,
+                                first,
                                 count,
                                 &mut scratch,
                                 strategy.as_mut(),
-                                obs,
-                                &mut batch,
+                                &mut outcomes,
                             );
-                            let per_path = sampled_at.map(|t0| t0.elapsed() / count as u32);
-                            for out in batch.drain(..) {
-                                if let (Some(o), Some(d), Ok(outcome)) = (obs, per_path, &out) {
-                                    o.record_worker_path(w, outcome, d);
-                                }
-                                let failed = out.is_err();
-                                if tx.send((w, out)).is_err() || failed {
-                                    break 'work;
-                                }
+                            let failed = outcomes.iter().any(Result::is_err);
+                            let busy_each = per_path(sampled_at, count);
+                            if tx.send(Block { worker: w, outcomes, busy_each }).is_err() || failed
+                            {
+                                break;
                             }
-                            produced += count as u64;
-                            index += workers as u64 * count as u64;
+                            first += workers as u64 * block;
                         }
+                        source.finish_scratch(scratch);
                     });
                     // A panicking worker reports itself as a structured
                     // failure instead of silently starving the round-robin
@@ -612,112 +562,71 @@ fn analyze_parallel_impl<S: PathSource>(
                     // and sequential generators would spin forever).
                     if let Err(payload) = std::panic::catch_unwind(body) {
                         let detail = panic_message(payload.as_ref());
-                        let _ = tx.send((w, Err(SimError::WorkerFailed { detail })));
+                        let outcomes = vec![Err(SimError::WorkerFailed { detail })];
+                        let _ = tx.send(Block { worker: w, outcomes, busy_each: Duration::ZERO });
                     }
                 });
             }
             drop(tx);
 
-            // Once the generator completes, the estimate is finalized:
-            // leftover in-flight outcomes are drained so workers can exit,
-            // but they can no longer fail the run — neither through the
-            // deadlock policy nor through late worker errors.
-            let mut complete = false;
-            loop {
-                match rx.recv() {
-                    Ok((w, Ok(outcome))) => {
-                        if !complete {
-                            check_deadlock_policy(config, &outcome)?;
-                        }
-                        stats.record(&outcome);
-                        collector.push(w, outcome.verdict);
-                        round_buf.clear();
-                        collector.drain_rounds_into(&mut round_buf);
-                        if !round_buf.is_empty() {
-                            if let Some(o) = obs {
-                                o.record_drain(
-                                    round_buf.len(),
-                                    collector.buffered(),
-                                    last_drain.elapsed(),
-                                );
-                                last_drain = Instant::now();
-                            }
-                            for &v in &round_buf {
-                                if !generator.is_complete() {
-                                    generator.add(v.is_success());
-                                    if let Some(o) = obs {
-                                        o.offer_witness(consumed, v);
-                                        convergence.after_sample(
-                                            generator.as_ref(),
-                                            config.accuracy,
-                                            o,
-                                        );
-                                    }
-                                }
-                                consumed += 1;
-                            }
-                            if let Some(o) = obs {
-                                o.on_progress(
-                                    generator.samples(),
-                                    generator.known_target(),
-                                    current_estimate(generator.as_ref(), config.accuracy),
-                                );
-                            }
-                        }
-                        if !complete && generator.is_complete() {
-                            complete = true;
-                            stop.store(true, Ordering::Relaxed);
-                            // Keep draining the channel so workers can exit.
-                        }
-                    }
-                    Ok((_, Err(e))) => {
-                        if !complete {
-                            stop.store(true, Ordering::Relaxed);
-                            return Err(e);
-                        }
-                        // Late failure in a path the estimate never needed:
-                        // ignore and keep draining.
-                    }
-                    Err(_) => break, // all senders dropped
+            for mut b in rx.iter() {
+                // Once the generator completes, the estimate is final:
+                // leftover blocks are drained so workers can exit, but
+                // they can no longer fail the run.
+                if run.is_complete() {
+                    continue;
+                }
+                // Failures abort on arrival — a failed worker produces
+                // nothing more, so its rounds would never complete.
+                // Returning drops the receiver: every worker's next send
+                // fails, and the worker exits.
+                let failed = b.outcomes.iter().position(Result::is_err);
+                if let Some(e) = failed.and_then(|i| b.outcomes.swap_remove(i).err()) {
+                    return Err(e);
+                }
+                collector.push(b.worker, b);
+                consume_rounds(&mut collector, &mut rounds, &mut run, &mut last_drain)?;
+                if run.is_complete() {
+                    stop.store(true, Ordering::Relaxed);
                 }
             }
-            // Channel closed: all workers exited. Mark them finished and
-            // consume any leftover complete rounds.
-            for w in 0..workers {
-                collector.finish_worker(w);
-            }
-            round_buf.clear();
-            collector.drain_rounds_into(&mut round_buf);
-            if let (Some(o), false) = (obs, round_buf.is_empty()) {
-                o.record_drain(round_buf.len(), collector.buffered(), last_drain.elapsed());
-            }
-            for &v in &round_buf {
-                if !generator.is_complete() {
-                    generator.add(v.is_success());
-                    if let Some(o) = obs {
-                        o.offer_witness(consumed, v);
-                        convergence.after_sample(generator.as_ref(), config.accuracy, o);
-                    }
+            // Channel closed: all workers exited. Consume the last,
+            // possibly partial, round.
+            if !run.is_complete() {
+                for w in 0..workers {
+                    collector.finish_worker(w);
                 }
-                consumed += 1;
+                consume_rounds(&mut collector, &mut rounds, &mut run, &mut last_drain)?;
             }
             Ok(())
         })
     }));
-    let result: Result<(), SimError> =
-        scoped.map_err(|_| SimError::WorkerFailed { detail: "worker thread panicked".into() })?;
-    result?;
+    scoped.map_err(|_| SimError::WorkerFailed { detail: "worker thread panicked".into() })??;
+    Ok(run.finish(source.state_bytes()))
+}
 
-    let sim_wall = start.elapsed();
-    Ok(finish_run(
-        start,
-        generator.as_ref(),
-        config.accuracy,
-        stats,
-        source.state_bytes(),
-        obs,
-        sim_wall,
-    ))
+/// Consumes every complete round of blocks the collector holds: one
+/// block per worker in worker order, which is block order, which is
+/// path-index order. `rounds` is the reused drain buffer.
+fn consume_rounds(
+    collector: &mut RoundRobinCollector<Block>,
+    rounds: &mut Vec<Block>,
+    run: &mut Consumer<'_>,
+    last_drain: &mut Instant,
+) -> Result<(), SimError> {
+    collector.drain_rounds_into(rounds);
+    if rounds.is_empty() {
+        return Ok(());
+    }
+    let mut consumed = 0;
+    for b in rounds.drain(..) {
+        consumed += run.consume(b.worker, b.outcomes, b.busy_each)?;
+    }
+    if let Some(o) = run.obs {
+        o.record_drain(consumed as usize, collector.buffered(), last_drain.elapsed());
+        *last_drain = Instant::now();
+    }
+    Ok(())
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -921,7 +830,7 @@ mod tests {
             "estimate {} vs exact {exact}",
             r.probability()
         );
-        // All quota'd samples accounted for.
+        // Exactly the target is sampled and consumed.
         assert_eq!(r.estimate.samples, cfg.accuracy.chernoff_samples());
     }
 
@@ -1062,7 +971,7 @@ mod tests {
         assert_eq!(verdict_total, r.stats.total());
         assert_eq!(snap.counters["paths.satisfied"], r.stats.satisfied);
         assert_eq!(snap.histograms["sim.steps_per_path"].count, r.stats.total());
-        // Every produced path is attributed to exactly one worker.
+        // Every consumed path is attributed to exactly one worker.
         let ws = obs.worker_stats();
         assert_eq!(ws.iter().map(|w| w.paths).sum::<u64>(), r.stats.total());
         assert_eq!(ws.iter().map(|w| w.satisfied).sum::<u64>(), r.stats.satisfied);
@@ -1106,8 +1015,14 @@ mod tests {
             let obs = SimObserver::new(workers).with_witness_capture(3);
             analyze_observed(&net, &prop, &cfg, Some(&obs)).unwrap();
             selections.push(obs.witness_selection().unwrap());
+            // The profiled run consumes the same samples in the same order.
+            let obs = SimObserver::new(workers).with_witness_capture(3);
+            analyze_profiled(&net, &prop, &cfg, Some(&obs)).unwrap();
+            selections.push(obs.witness_selection().unwrap());
         }
-        assert_eq!(selections[0], selections[1], "witness indices depend on worker count");
+        for (i, s) in selections.iter().enumerate() {
+            assert_eq!(s, &selections[0], "selection {i} depends on worker count or profiling");
+        }
         assert!(!selections[0].goal().is_empty(), "λ=1 run should hit the goal");
     }
 
@@ -1159,8 +1074,14 @@ mod tests {
             let obs = SimObserver::new(workers);
             analyze_observed(&net, &prop, &cfg, Some(&obs)).unwrap();
             all.push(obs.convergence());
+            let obs = SimObserver::new(workers);
+            analyze_profiled(&net, &prop, &cfg, Some(&obs)).unwrap();
+            all.push(obs.convergence());
         }
-        assert_eq!(all[0], all[1], "convergence series depends on worker count");
+        assert!(all[0].len() > 2, "series too short: {:?}", all[0]);
+        for (i, series) in all.iter().enumerate() {
+            assert_eq!(series, &all[0], "series {i} depends on worker count or profiling");
+        }
     }
 
     // --- PathSource mocks: deterministic runner-protocol tests ---------
@@ -1180,15 +1101,13 @@ mod tests {
         fn sample_batch(
             &self,
             start: u64,
-            stride: u64,
             count: usize,
             _scratch: &mut (),
             _strategy: &mut dyn Strategy,
-            _obs: Option<&SimObserver>,
             out: &mut Vec<Result<PathOutcome, SimError>>,
         ) {
             out.clear();
-            out.extend((0..count as u64).map(|j| (self.0)(start + stride * j)));
+            out.extend((start..start + count as u64).map(&self.0));
         }
 
         fn state_bytes(&self) -> usize {
@@ -1251,6 +1170,55 @@ mod tests {
             analyze_parallel_impl(&source, &cfg, None),
             Err(SimError::DeadlockDetected { .. })
         ));
+        // Locks at several indices, each ending at its own index. The
+        // lowest-index lock is delivered last, yet it is the one reported:
+        // the policy is checked at consumption, in path-index order.
+        let source = FnSource(|index| match index {
+            6 => {
+                std::thread::sleep(Duration::from_millis(50));
+                Ok(PathOutcome { verdict: Verdict::Deadlock, steps: 2, end_time: 6.0 })
+            }
+            9 | 13 => {
+                Ok(PathOutcome { verdict: Verdict::Timelock, steps: 2, end_time: index as f64 })
+            }
+            _ => Ok(sat(1)),
+        });
+        for generator in [GeneratorKind::ChernoffHoeffding, GeneratorKind::Gauss] {
+            for workers in [2usize, 3] {
+                let cfg = cfg.with_generator(generator).with_workers(workers).with_batch_lanes(4);
+                match analyze_parallel_impl(&source, &cfg, None) {
+                    Err(SimError::DeadlockDetected { time, .. }) => {
+                        assert_eq!(time, 6.0, "{generator} workers={workers}");
+                    }
+                    other => panic!("expected DeadlockDetected, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sequential_rules_count_only_consumed_samples() {
+        // Lane overshoot (one worker) and in-flight paths (several) are
+        // sampled but never consumed: they must not reach the path
+        // statistics or the per-worker attribution. Consumption is in
+        // path-index order, so the results agree across worker counts.
+        let (net, prop) = exp_net(1.0);
+        for generator in [GeneratorKind::Gauss, GeneratorKind::ChowRobbins] {
+            let mut runs = Vec::new();
+            for workers in [1usize, 2, 3] {
+                let cfg = loose().with_generator(generator).with_workers(workers).with_seed(5);
+                let obs = SimObserver::new(workers);
+                let r = analyze_observed(&net, &prop, &cfg, Some(&obs)).unwrap();
+                assert_eq!(r.stats.total(), r.estimate.samples, "{generator} workers={workers}");
+                let ws = obs.worker_stats();
+                assert_eq!(ws.iter().map(|w| w.paths).sum::<u64>(), r.stats.total());
+                assert_eq!(ws.iter().map(|w| w.satisfied).sum::<u64>(), r.stats.satisfied);
+                runs.push((r.estimate, r.stats));
+            }
+            for (i, run) in runs.iter().enumerate() {
+                assert_eq!(run, &runs[0], "{generator}: run {i} depends on worker count");
+            }
+        }
     }
 
     /// Gauss at (ε, δ) = (0.1, 0.1) completes after exactly 50 uniform
@@ -1299,8 +1267,8 @@ mod tests {
             .expect("completed estimate must survive late lock verdicts");
         assert_eq!(r.estimate.samples, 50);
         assert_eq!(r.estimate.mean, 1.0);
-        // The late deadlocks are still *counted* (they happened), they
-        // just cannot fail the already-final estimate.
-        assert!(r.stats.deadlocks <= 2);
+        // The late deadlocks were never consumed, so they are not counted.
+        assert_eq!(r.stats.deadlocks, 0);
+        assert_eq!(r.stats.total(), 50);
     }
 }

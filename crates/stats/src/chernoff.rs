@@ -9,7 +9,8 @@
 //!
 //! (the paper's formula rendering is garbled; this is the standard form of
 //! its reference \[7\]). The number of samples is thus known *a priori*,
-//! which the parallel collector exploits for trivially balanced workloads.
+//! which lets the simulator's runner commit whole lane blocks to its
+//! workers up front.
 
 use std::fmt;
 

@@ -60,8 +60,8 @@ pub trait Generator: Send {
     fn estimate(&self) -> Estimate;
 
     /// The a-priori known total sample count, if any (CH bound: yes;
-    /// sequential rules: no). Used by the parallel runner for static
-    /// workload splitting.
+    /// sequential rules: no). The simulator's runner samples exactly
+    /// this many paths, in lane-wide blocks, when it is known.
     fn known_target(&self) -> Option<u64>;
 
     /// Samples accepted so far.

@@ -39,6 +39,6 @@ pub mod weighted;
 
 pub use chernoff::Accuracy;
 pub use estimator::{ChernoffHoeffding, Estimate, Generator};
-pub use parallel::{split_workload, RoundRobinCollector};
+pub use parallel::RoundRobinCollector;
 pub use sequential::{ChowRobbins, Gauss, GeneratorKind};
 pub use weighted::{WeightedEstimate, WeightedEstimator};

@@ -9,8 +9,9 @@
 //! worker at a time, in a fixed worker order.
 //!
 //! [`RoundRobinCollector`] implements that protocol. The simulator's
-//! parallel runner feeds it from worker channels and drains complete
-//! rounds into the generator.
+//! parallel runner feeds it *blocks* of consecutive paths from worker
+//! channels and drains complete rounds — one block per worker — into the
+//! generator, which thus sees the paths in index order.
 
 use std::collections::VecDeque;
 
@@ -18,7 +19,7 @@ use std::collections::VecDeque;
 ///
 /// Generic in the sample type `T` (defaulting to the success flag the
 /// generators consume) so the runner can carry richer per-sample payloads
-/// — e.g. full verdicts for witness selection — through the same
+/// — e.g. whole blocks of path outcomes — through the same
 /// deterministic consumption order.
 #[derive(Debug, Clone)]
 pub struct RoundRobinCollector<T = bool> {
@@ -116,17 +117,6 @@ impl<T> RoundRobinCollector<T> {
     }
 }
 
-/// Splits a known total of `n` samples over `k` workers as evenly as
-/// possible (the trivial CH-bound strategy from §III-C: each processor
-/// computes `N/k` samples).
-pub fn split_workload(n: u64, k: usize) -> Vec<u64> {
-    assert!(k > 0, "need at least one worker");
-    let k64 = k as u64;
-    let base = n / k64;
-    let extra = (n % k64) as usize;
-    (0..k).map(|i| base + u64::from(i < extra)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,20 +183,6 @@ mod tests {
         let mut c = RoundRobinCollector::new(1);
         c.finish_worker(0);
         c.push(0, true);
-    }
-
-    #[test]
-    fn split_workload_balanced() {
-        assert_eq!(split_workload(10, 3), vec![4, 3, 3]);
-        assert_eq!(split_workload(9, 3), vec![3, 3, 3]);
-        assert_eq!(split_workload(2, 4), vec![1, 1, 0, 0]);
-        assert_eq!(split_workload(0, 2), vec![0, 0]);
-        let total: u64 = split_workload(1_000_003, 48).iter().sum();
-        assert_eq!(total, 1_000_003);
-        let parts = split_workload(1_000_003, 48);
-        let min = parts.iter().min().unwrap();
-        let max = parts.iter().max().unwrap();
-        assert!(max - min <= 1, "imbalance {}", max - min);
     }
 
     #[test]

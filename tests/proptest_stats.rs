@@ -5,7 +5,7 @@ mod common;
 
 use common::*;
 use slimsim::stats::chernoff::Accuracy;
-use slimsim::stats::parallel::{split_workload, RoundRobinCollector};
+use slimsim::stats::parallel::RoundRobinCollector;
 use slimsim::stats::sequential::GeneratorKind;
 
 /// Drained output only depends on the per-worker streams, not on the
@@ -50,21 +50,6 @@ fn collector_is_arrival_order_invariant() {
         }
         drained.extend(collector.drain_rounds());
         assert_eq!(drained, expected, "case {case}");
-    }
-}
-
-#[test]
-fn workload_split_total_and_balance() {
-    let mut rng = StdRng::seed_from_u64(0x5eed_5b11);
-    for case in 0..256 {
-        let n = rng.gen::<u64>() % 1_000_000;
-        let k = usize_in(&mut rng, 1, 64);
-        let parts = split_workload(n, k);
-        assert_eq!(parts.len(), k, "case {case}");
-        assert_eq!(parts.iter().sum::<u64>(), n, "case {case}");
-        let min = *parts.iter().min().unwrap();
-        let max = *parts.iter().max().unwrap();
-        assert!(max - min <= 1, "case {case}: imbalance {}", max - min);
     }
 }
 
