@@ -2,7 +2,6 @@
 
 use crate::automaton::LocId;
 use crate::eval::Valuation;
-use crate::value::Value;
 use std::fmt;
 
 /// A global state: one current location per automaton, a valuation of all
@@ -32,23 +31,6 @@ impl NetState {
         self.nu.copy_from(&other.nu);
         self.time = other.time;
     }
-
-    /// A hashable key over locations and *discrete* variable values.
-    ///
-    /// Returns `None` if any variable holds a real value — such models have
-    /// uncountable state spaces and cannot be explicitly explored. Used by
-    /// the CTMC backend, which requires untimed (discrete-data) models.
-    pub fn discrete_key(&self) -> Option<DiscreteKey> {
-        let mut vals = Vec::with_capacity(self.nu.len());
-        for (_, v) in self.nu.iter() {
-            match v {
-                Value::Bool(b) => vals.push(DiscreteVal::Bool(b)),
-                Value::Int(i) => vals.push(DiscreteVal::Int(i)),
-                Value::Real(_) => return None,
-            }
-        }
-        Some(DiscreteKey { locs: self.locs.clone(), vals })
-    }
 }
 
 impl fmt::Display for NetState {
@@ -71,44 +53,10 @@ impl fmt::Display for NetState {
     }
 }
 
-/// A discrete variable value (hashable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DiscreteVal {
-    /// Boolean value.
-    Bool(bool),
-    /// Integer value.
-    Int(i64),
-}
-
-/// Hashable identity of a discrete state (locations + discrete values).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct DiscreteKey {
-    /// Current locations.
-    pub locs: Vec<LocId>,
-    /// Discrete variable values in `VarId` order.
-    pub vals: Vec<DiscreteVal>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn discrete_key_rejects_reals() {
-        let s =
-            NetState::new(vec![LocId(0)], Valuation::new(vec![Value::Int(1), Value::Real(0.5)]));
-        assert!(s.discrete_key().is_none());
-    }
-
-    #[test]
-    fn discrete_key_equality() {
-        let a = NetState::new(vec![LocId(0)], Valuation::new(vec![Value::Int(1)]));
-        let mut b = a.clone();
-        b.time = 42.0; // time is not part of the key
-        assert_eq!(a.discrete_key().unwrap(), b.discrete_key().unwrap());
-        let c = NetState::new(vec![LocId(1)], Valuation::new(vec![Value::Int(1)]));
-        assert_ne!(a.discrete_key().unwrap(), c.discrete_key().unwrap());
-    }
+    use crate::value::Value;
 
     #[test]
     fn display_mentions_time_and_values() {

@@ -14,8 +14,14 @@
 //! Any regression that sneaks an allocation into the hot loop — a
 //! `clone`, a `Vec` literal, a formatted error on the happy path — fails
 //! the process with a nonzero exit code, which CI treats as a hard error.
+//!
+//! The CTMC explorer is held to its own contract: besides compiling the
+//! step tables once, it allocates only each state's own edge lists plus
+//! amortised (logarithmically many) growth of its arena, index and state
+//! table — never per explored state or per successor.
 
-use slim_automata::prelude::{Expr, Network};
+use slim_automata::prelude::{Expr, NetState, Network};
+use slim_ctmc::explore::{explore, ExploreConfig};
 use slim_models::{
     gps_network, repair_network, sensor_filter_network, voting_network, GpsParams, RepairParams,
     SensorFilterParams, VotingParams,
@@ -152,6 +158,10 @@ fn main() {
         );
     }
 
+    if !explore_allocations_amortised() {
+        failures += 1;
+    }
+
     if failures > 0 {
         eprintln!("alloc_check: {failures} model(s) allocated in the steady-state hot path");
         std::process::exit(1);
@@ -161,4 +171,39 @@ fn main() {
         std::process::exit(1);
     }
     println!("alloc_check: steady-state hot path is allocation-free ({gated} model(s) gated)");
+}
+
+/// Explores the sensor–filter model (n = 6, 16 380 states) and checks that
+/// every allocation beyond step-table compilation and the IMC's own
+/// non-empty edge lists is amortised growth: a fixed budget that any
+/// per-state or per-successor allocation would exceed many times over.
+fn explore_allocations_amortised() -> bool {
+    const GROWTH_BUDGET: u64 = 256;
+    let net = sensor_filter_network(&SensorFilterParams { redundancy: 6, ..Default::default() });
+    let failed = net.var_id(slim_models::GOAL_VAR).expect("goal variable");
+    let goal = move |s: &NetState| s.nu.get(failed).map(|v| v.as_bool().unwrap_or(false));
+
+    alloc::reset();
+    black_box(net.compile());
+    let (compile_calls, _) = alloc::counts();
+
+    alloc::reset();
+    let explored = explore(&net, &goal, &ExploreConfig::default()).expect("explores");
+    let (calls, bytes) = alloc::counts();
+    let edge_lists: u64 = explored
+        .imc
+        .states
+        .iter()
+        .map(|s| u64::from(!s.interactive.is_empty()) + u64::from(!s.markovian.is_empty()))
+        .sum();
+    let growth = calls.saturating_sub(compile_calls + edge_lists);
+    let ok = growth <= GROWTH_BUDGET;
+    println!(
+        "{:>14}: explore n=6, {} states — {calls} allocations ({bytes} bytes) = {compile_calls} \
+         compile + {edge_lists} edge lists + {growth} growth (budget {GROWTH_BUDGET}) [{}]",
+        "ctmc",
+        explored.states,
+        if ok { "OK" } else { "FAIL" }
+    );
+    ok
 }

@@ -53,4 +53,14 @@ mod tests {
         assert!(r.is_err(), "timed model must be rejected");
         assert!(r.unwrap_err().contains("timed"));
     }
+
+    #[test]
+    fn ctmc_rejects_real_data_variables() {
+        let model =
+            format!("{}/../../tests/fixtures/ctmc_real_var.slim", env!("CARGO_MANIFEST_DIR"));
+        let cmd =
+            format!("ctmc {model} --root Tank.Main --bound 1.0 --goal-var root.empty --quiet");
+        let err = run(&args(&cmd)).expect_err("a real-valued variable must be rejected");
+        assert!(err.contains("`root.level`") && err.contains("real-valued"), "{err}");
+    }
 }

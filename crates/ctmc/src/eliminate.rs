@@ -8,10 +8,10 @@
 //! the weak-bisimulation step in the COMPASS chain, which likewise must
 //! rid the model of interactive transitions before MRMC can run).
 
+use crate::accumulate::Accumulator;
 use crate::ctmc::Ctmc;
 use crate::error::CtmcError;
 use crate::imc::Imc;
-use std::collections::HashMap;
 
 /// Eliminates vanishing states, producing a CTMC over the tangible states.
 ///
@@ -20,6 +20,9 @@ use std::collections::HashMap;
 /// through it is redirected to a fresh absorbing goal state — passing
 /// through a goal instantaneously still means the goal was reached.
 ///
+/// Tangible states keep their relative order. Resolution is iterative
+/// (an explicit DFS stack), so arbitrarily long immediate chains are fine.
+///
 /// # Errors
 /// [`CtmcError::VanishingCycle`] on immediate-transition cycles and
 /// [`CtmcError::Empty`] on empty input.
@@ -27,107 +30,146 @@ pub fn eliminate(imc: &Imc) -> Result<Ctmc, CtmcError> {
     if imc.is_empty() {
         return Err(CtmcError::Empty);
     }
-    let n = imc.len();
+    let mut r = Resolver::new(imc);
+    let tangible = r.goal_sink;
+    let mut acc = Accumulator::new(tangible + 1);
 
-    // Map tangible states to compact CTMC indices.
-    let mut tangible_index: HashMap<usize, usize> = HashMap::new();
-    for (i, s) in imc.states.iter().enumerate() {
-        if !s.is_vanishing() {
-            let idx = tangible_index.len();
-            tangible_index.insert(i, idx);
+    // Build rows for tangible states, in state order.
+    let mut rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(tangible);
+    let mut goal: Vec<bool> = Vec::with_capacity(tangible);
+    for s in imc.states.iter().filter(|s| !s.is_vanishing()) {
+        goal.push(s.goal);
+        for &(target, _) in &s.markovian {
+            r.resolve(imc, target, &mut acc)?;
         }
-    }
-    // A synthetic absorbing goal state collects probability that reaches
-    // the goal *inside* a vanishing chain.
-    let goal_sink = tangible_index.len();
-    let mut uses_goal_sink = false;
-
-    // Memoized resolution: distribution over CTMC indices reached from an
-    // IMC state by following immediate transitions to quiescence.
-    let mut memo: Vec<Option<Vec<(usize, f64)>>> = vec![None; n];
-    let mut on_stack = vec![false; n];
-
-    fn resolve(
-        i: usize,
-        imc: &Imc,
-        tangible_index: &HashMap<usize, usize>,
-        goal_sink: usize,
-        uses_goal_sink: &mut bool,
-        memo: &mut Vec<Option<Vec<(usize, f64)>>>,
-        on_stack: &mut Vec<bool>,
-    ) -> Result<Vec<(usize, f64)>, CtmcError> {
-        if let Some(d) = &memo[i] {
-            return Ok(d.clone());
-        }
-        if on_stack[i] {
-            return Err(CtmcError::VanishingCycle { state_index: i });
-        }
-        let s = &imc.states[i];
-        let dist = if !s.is_vanishing() {
-            vec![(tangible_index[&i], 1.0)]
-        } else if s.goal {
-            // Goal reached instantaneously on the way through.
-            *uses_goal_sink = true;
-            vec![(goal_sink, 1.0)]
-        } else {
-            on_stack[i] = true;
-            let k = s.interactive.len() as f64;
-            let mut acc: HashMap<usize, f64> = HashMap::new();
-            for &succ in &s.interactive {
-                let sub =
-                    resolve(succ, imc, tangible_index, goal_sink, uses_goal_sink, memo, on_stack)?;
-                for (t, p) in sub {
-                    *acc.entry(t).or_insert(0.0) += p / k;
-                }
-            }
-            on_stack[i] = false;
-            let mut v: Vec<(usize, f64)> = acc.into_iter().collect();
-            v.sort_by_key(|&(t, _)| t);
-            v
-        };
-        memo[i] = Some(dist.clone());
-        Ok(dist)
-    }
-
-    // Build rows for tangible states.
-    let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); tangible_index.len()];
-    let mut goal: Vec<bool> = vec![false; tangible_index.len()];
-    for (&imc_i, &ctmc_i) in &tangible_index {
-        goal[ctmc_i] = imc.states[imc_i].goal;
-        let mut acc: HashMap<usize, f64> = HashMap::new();
-        for &(target, rate) in &imc.states[imc_i].markovian {
-            let dist = resolve(
-                target,
-                imc,
-                &tangible_index,
-                goal_sink,
-                &mut uses_goal_sink,
-                &mut memo,
-                &mut on_stack,
-            )?;
-            for (t, p) in dist {
-                *acc.entry(t).or_insert(0.0) += rate * p;
+        for &(target, rate) in &s.markovian {
+            for &(t, p) in r.dist(target) {
+                acc.add(t, rate * p);
             }
         }
-        let mut row: Vec<(usize, f64)> = acc.into_iter().filter(|&(_, r)| r > 0.0).collect();
-        row.sort_by_key(|&(t, _)| t);
-        rows[ctmc_i] = row;
+        let mut row = acc.take();
+        row.retain(|&(_, rate)| rate > 0.0);
+        rows.push(row);
     }
 
     // Initial distribution: resolve state 0.
-    let initial =
-        resolve(0, imc, &tangible_index, goal_sink, &mut uses_goal_sink, &mut memo, &mut on_stack)?;
+    r.resolve(imc, 0, &mut acc)?;
+    let initial = r.dist(0).to_vec();
 
-    if uses_goal_sink {
+    if r.uses_goal_sink {
         rows.push(Vec::new());
         goal.push(true);
-    } else {
-        // No row references the sink; nothing to add.
     }
 
     let ctmc = Ctmc { rates: rows, goal, initial };
     debug_assert!(ctmc.check_valid().is_ok(), "{:?}", ctmc.check_valid());
     Ok(ctmc)
+}
+
+/// Resolution state of one IMC state.
+#[derive(Debug, Clone, Copy)]
+enum Memo {
+    /// Goal-labelled vanishing state, not reached yet: it dissolves into
+    /// the goal sink.
+    GoalVanishing,
+    /// Non-goal vanishing state, not resolved yet.
+    Open,
+    /// Vanishing state being resolved (on the DFS stack).
+    OnStack,
+    /// Resolved: the distribution is `dists[start..end]`.
+    Done(usize, usize),
+}
+
+/// Memoized resolution: the distribution over CTMC indices reached from
+/// an IMC state by following immediate transitions to quiescence.
+#[derive(Debug)]
+struct Resolver {
+    memo: Vec<Memo>,
+    /// Flat arena of distributions. It starts with one `(index, 1.0)`
+    /// entry per tangible state (in CTMC order), followed by the goal
+    /// sink's; resolved vanishing distributions are appended after.
+    dists: Vec<(usize, f64)>,
+    /// CTMC index of the synthetic absorbing goal state that collects
+    /// probability reaching the goal *inside* a vanishing chain; it equals
+    /// the number of tangible states.
+    goal_sink: usize,
+    uses_goal_sink: bool,
+    /// Explicit DFS stack of `(state, next interactive successor)`.
+    stack: Vec<(usize, usize)>,
+}
+
+impl Resolver {
+    fn new(imc: &Imc) -> Resolver {
+        let mut memo = Vec::with_capacity(imc.len());
+        let mut dists = Vec::new();
+        for s in &imc.states {
+            memo.push(if !s.is_vanishing() {
+                let t = dists.len();
+                dists.push((t, 1.0));
+                Memo::Done(t, t + 1)
+            } else if s.goal {
+                Memo::GoalVanishing
+            } else {
+                Memo::Open
+            });
+        }
+        let goal_sink = dists.len();
+        dists.push((goal_sink, 1.0));
+        Resolver { memo, dists, goal_sink, uses_goal_sink: false, stack: Vec::new() }
+    }
+
+    /// The distribution of a resolved state.
+    fn dist(&self, i: usize) -> &[(usize, f64)] {
+        match self.memo[i] {
+            Memo::Done(start, end) => &self.dists[start..end],
+            _ => unreachable!("state {i} read before it was resolved"),
+        }
+    }
+
+    /// Resolves `root` and everything it reaches through immediate
+    /// transitions. A vanishing state's distribution is the uniform
+    /// mixture of its successors', summed per target in successor order.
+    fn resolve(&mut self, imc: &Imc, root: usize, acc: &mut Accumulator) -> Result<(), CtmcError> {
+        self.enter(root)?;
+        while let Some(top) = self.stack.last_mut() {
+            let (i, next) = *top;
+            let succs = &imc.states[i].interactive;
+            if next < succs.len() {
+                top.1 += 1;
+                self.enter(succs[next])?;
+                continue;
+            }
+            self.stack.pop();
+            let k = succs.len() as f64;
+            for &succ in succs {
+                for &(t, p) in self.dist(succ) {
+                    acc.add(t, p / k);
+                }
+            }
+            let start = self.dists.len();
+            acc.drain_into(&mut self.dists);
+            self.memo[i] = Memo::Done(start, self.dists.len());
+        }
+        Ok(())
+    }
+
+    /// Visits state `i`: pushes it if it still needs resolving.
+    fn enter(&mut self, i: usize) -> Result<(), CtmcError> {
+        match self.memo[i] {
+            Memo::Done(..) => {}
+            Memo::GoalVanishing => {
+                // Goal reached instantaneously on the way through.
+                self.uses_goal_sink = true;
+                self.memo[i] = Memo::Done(self.goal_sink, self.goal_sink + 1);
+            }
+            Memo::OnStack => return Err(CtmcError::VanishingCycle { state_index: i }),
+            Memo::Open => {
+                self.memo[i] = Memo::OnStack;
+                self.stack.push((i, 0));
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -242,6 +284,52 @@ mod tests {
             ],
         };
         assert!(matches!(eliminate(&imc), Err(CtmcError::VanishingCycle { .. })));
+    }
+
+    #[test]
+    fn long_vanishing_chain_resolves_without_recursion() {
+        // 0 --2.0--> 1 → 2 → … → N (vanishing) → N+1 tangible goal. A
+        // recursive resolver overflows the stack long before N = 300k.
+        const N: usize = 300_000;
+        let mut states = vec![tangible(vec![(1, 2.0)], false)];
+        states.extend((1..=N).map(|i| vanishing(vec![i + 1], false)));
+        states.push(tangible(vec![], true));
+        let c = eliminate(&Imc { states }).unwrap();
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.rates[0], vec![(1, 2.0)]);
+        assert_eq!(c.goal, vec![false, true]);
+        assert_eq!(c.initial, vec![(0, 1.0)]);
+    }
+
+    #[test]
+    fn long_vanishing_cycle_detected() {
+        const N: usize = 300_000;
+        let mut states = vec![tangible(vec![(1, 1.0)], false)];
+        states.extend((1..N).map(|i| vanishing(vec![i + 1], false)));
+        states.push(vanishing(vec![1], false));
+        assert!(matches!(
+            eliminate(&Imc { states }),
+            Err(CtmcError::VanishingCycle { state_index: 1 })
+        ));
+    }
+
+    #[test]
+    fn shared_vanishing_successors_are_memoized() {
+        // Diamond: 1 → {2, 3}, both → 4 → {5, 6}; every path ends in 5 or 6
+        // with probability ½, whichever way it got there.
+        let imc = Imc {
+            states: vec![
+                tangible(vec![(1, 4.0)], false),
+                vanishing(vec![2, 3], false),
+                vanishing(vec![4], false),
+                vanishing(vec![4], false),
+                vanishing(vec![5, 6], false),
+                tangible(vec![], false),
+                tangible(vec![], true),
+            ],
+        };
+        let c = eliminate(&imc).unwrap();
+        assert_eq!(c.rates[0], vec![(1, 2.0), (2, 2.0)]);
     }
 
     #[test]

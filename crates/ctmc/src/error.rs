@@ -11,6 +11,9 @@ pub enum CtmcError {
     /// pipeline handles *untimed* models only (§IV of the paper: "this
     /// part of the tool-chain is limited to discrete models").
     TimedModel { variable: String },
+    /// The model declares a `real` data variable: its values do not form
+    /// a finite discrete state space, so it cannot be explored explicitly.
+    RealVariable { variable: String },
     /// Evaluation failure during exploration.
     Eval(EvalError),
     /// The reachable state space exceeded the configured limit.
@@ -34,6 +37,10 @@ impl fmt::Display for CtmcError {
                     "model is timed (variable `{variable}`); CTMC analysis requires untimed models"
                 )
             }
+            CtmcError::RealVariable { variable } => write!(
+                f,
+                "variable `{variable}` is real-valued; CTMC analysis requires Boolean and integer data"
+            ),
             CtmcError::Eval(e) => write!(f, "evaluation error during exploration: {e}"),
             CtmcError::StateLimitExceeded { limit } => {
                 write!(f, "reachable state space exceeds the limit of {limit} states")
@@ -72,6 +79,7 @@ mod tests {
     fn display_nonempty() {
         for e in [
             CtmcError::TimedModel { variable: "x".into() },
+            CtmcError::RealVariable { variable: "level".into() },
             CtmcError::StateLimitExceeded { limit: 10 },
             CtmcError::VanishingCycle { state_index: 3 },
             CtmcError::Empty,

@@ -35,6 +35,7 @@
 
 #![forbid(unsafe_code)]
 
+mod accumulate;
 pub mod analysis;
 pub mod ctmc;
 pub mod eliminate;

@@ -8,6 +8,7 @@
 //! induced by the goal label, repeatedly split blocks whose states have
 //! different cumulative rates into some block, until stable.
 
+use crate::accumulate::Accumulator;
 use crate::ctmc::Ctmc;
 use std::collections::HashMap;
 
@@ -22,6 +23,9 @@ pub struct Lumped {
 
 /// Computes the coarsest ordinary lumping of `ctmc` that respects the goal
 /// labeling.
+///
+/// Blocks are numbered by first occurrence in state order, so the
+/// quotient is deterministic.
 pub fn lump(ctmc: &Ctmc) -> Lumped {
     let n = ctmc.len();
     if n == 0 {
@@ -38,42 +42,46 @@ pub fn lump(ctmc: &Ctmc) -> Lumped {
         1
     };
 
+    // Working storage reused by every round: the per-block rate
+    // accumulator, the drained row, and all signatures back to back
+    // (state `s`'s is `sigs[sig_end[s - 1]..sig_end[s]]`).
+    let mut acc = Accumulator::new(n);
+    let mut row: Vec<(usize, f64)> = Vec::new();
+    let mut sigs: Vec<(usize, u64)> = Vec::new();
+    let mut sig_end: Vec<usize> = Vec::with_capacity(n);
+    let mut next: Vec<usize> = Vec::with_capacity(n);
     loop {
-        // Signature of a state: sorted vector of (target block, total rate).
-        let mut signatures: Vec<Vec<(usize, u64)>> = Vec::with_capacity(n);
+        // Signature of a state: (target block, quantized total rate) pairs
+        // in block order.
+        sigs.clear();
+        sig_end.clear();
         for s in 0..n {
-            let mut acc: HashMap<usize, f64> = HashMap::new();
             for &(t, r) in &ctmc.rates[s] {
-                *acc.entry(block_of[t]).or_insert(0.0) += r;
+                acc.add(block_of[t], r);
             }
-            let mut sig: Vec<(usize, u64)> =
-                acc.into_iter().map(|(b, r)| (b, quantize(r))).collect();
-            sig.sort_unstable();
-            signatures.push(sig);
+            row.clear();
+            acc.drain_into(&mut row);
+            sigs.extend(row.iter().map(|&(b, r)| (b, quantize(r))));
+            sig_end.push(sigs.len());
         }
 
         // Re-number blocks by (old block, signature).
         type BlockKey<'a> = (usize, &'a [(usize, u64)]);
-        let mut renum: HashMap<BlockKey<'_>, usize> = HashMap::new();
-        let mut next: Vec<usize> = Vec::with_capacity(n);
+        let mut renum: HashMap<BlockKey<'_>, usize> = HashMap::with_capacity(2 * block_count);
+        next.clear();
+        let mut start = 0;
         for s in 0..n {
-            let key = (block_of[s], signatures[s].as_slice());
-            let id = match renum.get(&key) {
-                Some(&id) => id,
-                None => {
-                    let id = renum.len();
-                    renum.insert(key, id);
-                    id
-                }
-            };
-            next.push(id);
+            let key = (block_of[s], &sigs[start..sig_end[s]]);
+            start = sig_end[s];
+            let fresh = renum.len();
+            next.push(*renum.entry(key).or_insert(fresh));
         }
         let new_count = renum.len();
         if new_count == block_count {
             break;
         }
         block_count = new_count;
-        block_of = next;
+        std::mem::swap(&mut block_of, &mut next);
     }
 
     // Build the quotient: pick one representative per block (ordinary
@@ -88,36 +96,38 @@ pub fn lump(ctmc: &Ctmc) -> Lumped {
     let mut goal: Vec<bool> = Vec::with_capacity(block_count);
     for &rep in &representative {
         let rep = rep.expect("every block has a member");
-        let mut acc: HashMap<usize, f64> = HashMap::new();
         for &(t, r) in &ctmc.rates[rep] {
-            *acc.entry(block_of[t]).or_insert(0.0) += r;
+            acc.add(block_of[t], r);
         }
-        let mut row: Vec<(usize, f64)> = acc.into_iter().collect();
-        row.sort_by_key(|&(t, _)| t);
-        rates.push(row);
+        rates.push(acc.take());
         goal.push(ctmc.goal[rep]);
     }
-    let mut init_acc: HashMap<usize, f64> = HashMap::new();
     for &(s, p) in &ctmc.initial {
-        *init_acc.entry(block_of[s]).or_insert(0.0) += p;
+        acc.add(block_of[s], p);
     }
-    let mut initial: Vec<(usize, f64)> = init_acc.into_iter().collect();
-    initial.sort_by_key(|&(s, _)| s);
+    let initial = acc.take();
 
     let quotient = Ctmc { rates, goal, initial };
     debug_assert!(quotient.check_valid().is_ok(), "{:?}", quotient.check_valid());
     Lumped { quotient, block_of }
 }
 
-/// Quantizes a rate for signature comparison (lumping is exact up to
-/// floating-point noise; 1e-12 relative granularity).
+/// Quantizes a (non-negative) rate for signature comparison: the rate
+/// rounded to 40 significant bits, i.e. to a relative granularity of
+/// 2⁻⁴⁰ ≈ 9·10⁻¹³ at every magnitude. Lumping is exact up to that
+/// floating-point noise; rates that differ beyond it never merge, however
+/// large or small they are.
 fn quantize(r: f64) -> u64 {
-    (r * 1e12).round() as u64
+    const DROPPED_BITS: u32 = 52 - 40;
+    // For non-negative floats the bit pattern is monotone in the value, so
+    // rounding the pattern rounds the mantissa (carrying into the exponent).
+    (r.to_bits() + (1 << (DROPPED_BITS - 1))) >> DROPPED_BITS
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transient::{timed_reachability, TransientConfig};
 
     /// Two interchangeable redundant units: states (up,up), (up,down),
     /// (down,up), (down,down); the two mixed states are lumpable.
@@ -180,6 +190,35 @@ mod tests {
         let l = lump(&c);
         assert_ne!(l.block_of[1], l.block_of[2], "different rates to goal");
         assert_eq!(l.quotient.len(), 4);
+    }
+
+    #[test]
+    fn large_rates_are_not_saturated() {
+        // An absolute-granularity quantizer (`(r * 1e12) as u64`)
+        // saturates above ~1.8e7, merging states 1 and 2 and moving P from
+        // 0.711 to 0.591.
+        let c = Ctmc {
+            rates: vec![vec![(1, 1e8), (2, 1e8)], vec![(3, 2e7)], vec![(3, 4e7)], vec![]],
+            goal: vec![false, false, false, true],
+            initial: vec![(0, 1.0)],
+        };
+        let l = lump(&c);
+        assert_ne!(l.block_of[1], l.block_of[2], "2e7 and 4e7 must not merge");
+        let cfg = TransientConfig::default();
+        let exact = timed_reachability(&c, 5e-8, &cfg);
+        let lumped = timed_reachability(&l.quotient, 5e-8, &cfg);
+        assert!((exact - 0.711_046_178).abs() < 1e-8, "{exact}");
+        assert!((lumped - exact).abs() < 1e-9, "lumped {lumped} vs unlumped {exact}");
+    }
+
+    #[test]
+    fn quantization_is_relative() {
+        for r in [1e-13, 1e-6, 0.5, 1.0, 3.7e4, 2e7, 1e9, 1e15] {
+            assert_eq!(quantize(r), quantize(r * (1.0 + 1e-15)), "noise must not split {r}");
+            assert_ne!(quantize(r), quantize(r * (1.0 + 1e-9)), "1e-9 apart must split {r}");
+            assert_ne!(quantize(r), quantize(2.0 * r));
+        }
+        assert_ne!(quantize(1e-13), quantize(0.0));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! scheduled heavy job / `cargo test -- --ignored`.
 
 use slim_ctmc::analysis::{check_timed_reachability, PipelineConfig};
+use slim_ctmc::{explore, ExploreConfig, Imc, ImcState};
 use slim_models::{
     repair_failure_probability, repair_network, sensor_filter_network, voting_failure_probability,
     voting_network, RepairParams, SensorFilterParams, VotingParams, GOAL_VAR, REPAIR_GOAL_VAR,
@@ -187,5 +188,106 @@ fn tight_epsilon_conformance_parallel() {
 fn tight_epsilon_conformance_batched() {
     for case in cases() {
         assert_conformance_lanes(&case, 0.005, 1, 64);
+    }
+}
+
+/// One pinned pipeline outcome: `(states, transitions, tangible_states,
+/// lumped_states, probability.to_bits())`.
+type Pin = (usize, usize, usize, usize, u64);
+
+/// Bit pins of the CTMC pipeline, recorded before the packed-store
+/// explorer and the flat eliminate/lump working storage landed. Any
+/// change to state numbering, summation order or block numbering moves
+/// at least one of these.
+#[test]
+fn ctmc_pipeline_golden_bits() {
+    let sensor = |n: usize| Case {
+        name: "sensor-filter",
+        net: sensor_filter_network(&SensorFilterParams { redundancy: n, ..Default::default() }),
+        goal_var: GOAL_VAR,
+        bound: 2.0,
+    };
+    let [_, _, voting, repair] = <[Case; 4]>::try_from(cases()).ok().unwrap();
+    let pinned: [(Case, Pin); 5] = [
+        (sensor(2), (60, 119, 21, 9, 4603414239034450143)),
+        (sensor(4), (1020, 3871, 285, 25, 4597704449426416446)),
+        (sensor(6), (16380, 94335, 4221, 49, 4591142533465917818)),
+        (voting, (28, 63, 16, 8, 4600421303395782108)),
+        (repair, (8, 17, 7, 5, 4599917729580913705)),
+    ];
+    for (case, want) in pinned {
+        let failed = case.net.var_id(case.goal_var).unwrap();
+        let goal = move |s: &NetState| s.nu.get(failed).map(|v| v.as_bool().unwrap_or(false));
+        let r = check_timed_reachability(&case.net, &goal, case.bound, &PipelineConfig::default())
+            .unwrap();
+        let got =
+            (r.states, r.transitions, r.tangible_states, r.lumped_states, r.probability.to_bits());
+        assert_eq!(got, want, "{}: pipeline output moved", case.name);
+    }
+}
+
+/// Breadth-first exploration on the reference step API
+/// (`guarded_candidates` / `markovian_candidates` / `apply`, one cloned
+/// state per successor) — the semantics the packed explorer must
+/// reproduce state for state.
+fn reference_imc(net: &Network, goal: &dyn Fn(&NetState) -> bool) -> Imc {
+    let key = |s: &NetState| -> (Vec<LocId>, Vec<i64>) {
+        let vals = s.nu.as_slice().iter().map(|v| match *v {
+            Value::Bool(b) => i64::from(b),
+            Value::Int(i) => i,
+            Value::Real(r) => panic!("real value {r} in an untimed model"),
+        });
+        (s.locs.clone(), vals.collect())
+    };
+    let initial = net.initial_state().unwrap();
+    let mut index = std::collections::HashMap::from([(key(&initial), 0usize)]);
+    let mut queue = vec![initial];
+    let mut imc = Imc { states: Vec::new() };
+    let mut intern = |next: NetState, queue: &mut Vec<NetState>| {
+        let fresh = index.len();
+        let id = *index.entry(key(&next)).or_insert(fresh);
+        if id == fresh {
+            queue.push(next);
+        }
+        id
+    };
+    let mut here = 0;
+    while here < queue.len() {
+        let state = queue[here].clone();
+        let mut s = ImcState { interactive: vec![], markovian: vec![], goal: goal(&state) };
+        for cand in net.guarded_candidates(&state).unwrap() {
+            if cand.window.contains(0.0) {
+                let next = net.apply(&state, &cand.transition).unwrap();
+                s.interactive.push(intern(next, &mut queue));
+            }
+        }
+        for cand in net.markovian_candidates(&state) {
+            let next = net.apply(&state, &cand.transition).unwrap();
+            s.markovian.push((intern(next, &mut queue), cand.rate));
+        }
+        imc.states.push(s);
+        here += 1;
+    }
+    imc
+}
+
+/// The production explorer (compiled kernel, packed state store) builds
+/// exactly the IMC of a reference-API breadth-first search: same state
+/// numbering, same edge order, same rates, same goal labels.
+#[test]
+fn explore_matches_reference_step_api() {
+    let mut all = cases();
+    all.push(Case {
+        name: "sensor-filter-4",
+        net: sensor_filter_network(&SensorFilterParams { redundancy: 4, ..Default::default() }),
+        goal_var: GOAL_VAR,
+        bound: 2.0,
+    });
+    for case in all {
+        let failed = case.net.var_id(case.goal_var).unwrap();
+        let holds = move |s: &NetState| s.nu.get(failed).unwrap().as_bool().unwrap();
+        let explored = explore(&case.net, &|s| Ok(holds(s)), &ExploreConfig::default()).unwrap();
+        assert_eq!(explored.imc, reference_imc(&case.net, &holds), "{}", case.name);
+        assert_eq!(explored.states, explored.imc.len());
     }
 }

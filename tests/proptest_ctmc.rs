@@ -14,10 +14,19 @@ use slimsim::ctmc::transient::{timed_reachability, transient_distribution, Trans
 /// A random CTMC with up to `max_n` states, sparse random rates, random
 /// goal labels.
 fn ctmc(rng: &mut StdRng, max_n: usize) -> Ctmc {
+    ctmc_with_rates(rng, max_n, |rng| f64_in(rng, 0.1, 5.0))
+}
+
+/// [`ctmc`] with rates drawn by `rate`.
+fn ctmc_with_rates(
+    rng: &mut StdRng,
+    max_n: usize,
+    mut rate: impl FnMut(&mut StdRng) -> f64,
+) -> Ctmc {
     let n = usize_in(rng, 2, max_n + 1);
     let rates: Vec<Vec<(usize, f64)>> = (0..n)
         .map(|s| {
-            let row = vec_of(rng, 0, 4, |rng| (rng.gen_range(0..n), f64_in(rng, 0.1, 5.0)));
+            let row = vec_of(rng, 0, 4, |rng| (rng.gen_range(0..n), rate(rng)));
             // No self-loops (they are meaningless in a CTMC) and merge
             // duplicate targets.
             let mut acc = std::collections::BTreeMap::new();
@@ -46,6 +55,59 @@ fn lumping_preserves_timed_reachability() {
         assert!(
             (direct - quotient).abs() < 1e-7,
             "case {case}: direct {direct} vs quotient {quotient} ({} -> {} states)",
+            c.len(),
+            lumped.quotient.len()
+        );
+    }
+}
+
+/// A race: state 0 fans out to `k` intermediates, each of which moves to
+/// the absorbing goal state `k + 1` (and maybe to another intermediate).
+/// Intermediates differ only in their rates, so any rate quantizer that
+/// conflates two distinct rates merges them.
+fn race(rng: &mut StdRng, mut rate: impl FnMut(&mut StdRng) -> f64) -> Ctmc {
+    let k = usize_in(rng, 2, 6);
+    let mut rates = vec![(1..=k).map(|i| (i, rate(rng))).collect::<Vec<_>>()];
+    for i in 1..=k {
+        let mut row = vec![(k + 1, rate(rng))];
+        let j = usize_in(rng, 1, k + 1);
+        if j != i && rng.gen::<bool>() {
+            row.push((j, rate(rng)));
+            row.sort_by_key(|&(t, _)| t);
+        }
+        rates.push(row);
+    }
+    rates.push(vec![]);
+    let goal = (0..k + 2).map(|s| s == k + 1).collect();
+    Ctmc { rates, goal, initial: vec![(0, 1.0)] }
+}
+
+/// Lumping must be exact at every rate magnitude. Each chain draws its
+/// rates log-uniformly from two decades around a log-uniform centre
+/// 10^c, c ∈ [-5, 8], so rates span 1e-6..1e9 across chains and every
+/// chain mixes distinct rates of one magnitude — which a quantizer that
+/// saturates (or rounds to zero) at that magnitude would merge. Even
+/// cases are general random chains, odd cases races; the horizon is set
+/// on the chain's own time scale.
+#[test]
+fn lumping_preserves_timed_reachability_across_rate_scales() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_5ca1);
+    for case in 0..2048 {
+        let centre = f64_in(&mut rng, -5.0, 8.0);
+        let rate = |rng: &mut StdRng| 10f64.powf(centre + f64_in(rng, -1.0, 1.0));
+        let mut c =
+            if case % 2 == 0 { ctmc_with_rates(&mut rng, 8, rate) } else { race(&mut rng, rate) };
+        // Start outside the goal, so that the race matters.
+        c.goal[0] = false;
+        let t = f64_in(&mut rng, 0.1, 2.0) / 10f64.powf(centre);
+        let cfg = TransientConfig::default();
+        let direct = timed_reachability(&c, t, &cfg);
+        let lumped = lump(&c);
+        let quotient = timed_reachability(&lumped.quotient, t, &cfg);
+        assert!(
+            (direct - quotient).abs() < 1e-7,
+            "case {case}: rates ~1e{centre:.1}: direct {direct} vs quotient {quotient} \
+             ({} -> {} states)",
             c.len(),
             lumped.quotient.len()
         );
