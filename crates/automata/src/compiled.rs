@@ -20,6 +20,24 @@
 //! never contain) fall back to the legacy AST solver per guard —
 //! allocating, but byte-identical in behavior.
 //!
+//! # Incremental enabledness
+//!
+//! The engine's stepping sequence ([`Network::stepping_begin`], then the
+//! `*_rated_prof` methods and [`Network::markovian_candidates_rated`] on
+//! the same state) keeps enabledness across steps instead of rescanning
+//! it. A [`GuardCode::DelayFree`] guard's truth is a pure function of the
+//! variables its program reads, so it is cached per guard slot and
+//! forgotten only when one of those variables changes *value*: every
+//! write in `apply` and `advance` (effects and flows alike) compares the
+//! old and new value bitwise and evicts the readers of what changed. The
+//! Markovian list depends only on locations; it is kept in process order
+//! and only the processes whose location changed are spliced back in.
+//! Candidate order, windows, errors and RNG draws are unchanged. Every
+//! plain entry point (the `*_into` methods, [`Network::rates_refresh`],
+//! [`Network::advance_mut`], [`Network::apply_mut`]) ends the sequence,
+//! so nothing outside it ever reads the cache, and
+//! [`CompileOptions::reference`] tables never start one.
+//!
 //! One caveat: `=`/`!=` between Boolean and numeric operands is dispatched
 //! at *compile* time from declared variable types, where the legacy solver
 //! inspects runtime values. The two agree on every type-canonical state
@@ -268,6 +286,10 @@ struct CompiledGuarded {
     trans: TransId,
     guard: GuardCode,
     urgent: bool,
+    /// Index of this guard in the enabledness cache (one slot per
+    /// guarded transition, τ and sync alike; only delay-free guards use
+    /// theirs).
+    slot: u32,
 }
 
 /// One participant of a synchronizing action: its process and, per
@@ -354,6 +376,19 @@ pub struct StepTables {
     /// variables (the only ones `advance` mutates). All-ones when masking
     /// is disabled.
     advance_flow_mask: u64,
+    /// Number of enabledness-cache slots (guarded transitions).
+    n_guard_slots: usize,
+    /// Readers index of the enabledness cache, in CSR form: the slots of
+    /// the delay-free guards reading variable `v` are
+    /// `guard_readers[reader_at[v]..reader_at[v + 1]]`.
+    reader_at: Vec<u32>,
+    guard_readers: Vec<u32>,
+    /// `[proc][loc]`: the location declares flow rates, so entering or
+    /// leaving it changes the rate buffer.
+    loc_rated: Vec<Vec<bool>>,
+    /// Stepping sequences may cache enabledness (the optimizing tiers are
+    /// on); false for [`CompileOptions::reference`].
+    incremental: bool,
 }
 
 impl StepTables {
@@ -868,6 +903,85 @@ struct ComboBuf {
     urgent: bool,
 }
 
+/// Enabledness-cache slot value: the guard's truth is not known.
+const UNKNOWN: u8 = 0;
+const FALSE: u8 = 1;
+const TRUE: u8 = 2;
+
+/// Per-path state of an incremental stepping sequence (see the module
+/// docs and [`Network::stepping_begin`]).
+#[derive(Debug, Default)]
+struct EnabledCache {
+    /// A stepping sequence is running; nothing below is read otherwise.
+    active: bool,
+    /// Per guard slot: [`UNKNOWN`], [`FALSE`] or [`TRUE`] — the truth of
+    /// a delay-free guard at the sequence's current valuation.
+    truth: Vec<u8>,
+    /// The scratch Markovian list is the current state's, except for the
+    /// processes listed in `moved`.
+    markov_valid: bool,
+    /// Processes whose location change touched a Markovian location
+    /// since the list was last brought up to date.
+    moved: Vec<usize>,
+    /// A firing entered or left a rate-declaring location since the
+    /// scratch rates were last refreshed.
+    rates_dirty: bool,
+}
+
+impl EnabledCache {
+    /// Accounts for writing `new` over `old` into `var`: a changed value
+    /// (bitwise) forgets the cached truth of every guard reading `var`.
+    #[inline]
+    fn note_write(&mut self, t: &StepTables, var: VarId, old: Value, new: Value) {
+        if self.active && !old.same_bits(new) {
+            let (lo, hi) = (t.reader_at[var.0] as usize, t.reader_at[var.0 + 1] as usize);
+            for &slot in &t.guard_readers[lo..hi] {
+                self.truth[slot as usize] = UNKNOWN;
+            }
+        }
+    }
+
+    /// The truth of the delay-free guard `cg` (program `prog`) of process
+    /// `p`: served from its slot when the sequence has it, otherwise
+    /// evaluated — recording one guard evaluation — and cached. Errors
+    /// are returned, never cached.
+    fn truth_of<P: ProfileHooks>(
+        &mut self,
+        cg: &CompiledGuarded,
+        prog: &SolveProg,
+        p: usize,
+        nu: &Valuation,
+        sv: &mut SolveScratch,
+        prof: &mut P,
+    ) -> Result<bool, EvalError> {
+        let slot = cg.slot as usize;
+        if self.active && self.truth[slot] != UNKNOWN {
+            return Ok(self.truth[slot] == TRUE);
+        }
+        let enabled = delay_free_truth(prog, nu, sv, prof)?;
+        prof.guard_eval(p, cg.trans.0, enabled);
+        if self.active {
+            self.truth[slot] = if enabled { TRUE } else { FALSE };
+        }
+        Ok(enabled)
+    }
+}
+
+/// `nu[var] := v`, telling the enabledness cache whether the value
+/// changed.
+#[inline]
+fn set_noted(
+    t: &StepTables,
+    nu: &mut Valuation,
+    cache: &mut EnabledCache,
+    var: VarId,
+    v: Value,
+) -> Result<(), EvalError> {
+    let old = nu.replace(var, v)?;
+    cache.note_write(t, var, old, v);
+    Ok(())
+}
+
 /// Reusable per-worker workspace for the compiled kernel.
 ///
 /// All buffers grow to a high-water mark during the first few steps and
@@ -877,6 +991,8 @@ struct ComboBuf {
 #[derive(Debug)]
 pub struct StepScratch {
     rates: Vec<f64>,
+    /// `rates` is the all-zero buffer of a rate-free model.
+    rates_zero: bool,
     solver: SolveScratch,
     vals: Vec<Value>,
     guard_result: IntervalSet,
@@ -897,6 +1013,7 @@ pub struct StepScratch {
     // not share a buffer with `temp_w`, which `delay_window_into` uses
     // internally while that output is checked out.
     inv_check: IntervalSet,
+    cache: EnabledCache,
 }
 
 impl Default for StepScratch {
@@ -910,6 +1027,7 @@ impl StepScratch {
     pub fn new() -> StepScratch {
         StepScratch {
             rates: Vec::new(),
+            rates_zero: false,
             solver: SolveScratch::default(),
             vals: Vec::new(),
             guard_result: IntervalSet::empty(),
@@ -927,6 +1045,7 @@ impl StepScratch {
             writes: Vec::new(),
             backup: NetState::new(Vec::new(), Valuation::new(Vec::new())),
             inv_check: IntervalSet::empty(),
+            cache: EnabledCache::default(),
         }
     }
 
@@ -995,17 +1114,27 @@ fn rated_vars(net: &Network) -> Vec<bool> {
     rated
 }
 
+/// The variable a solver op reads, if any.
+fn solve_op_var(op: &SolveOp) -> Option<VarId> {
+    match op {
+        SolveOp::SetVar(v)
+        | SolveOp::SetVarNot(v)
+        | SolveOp::AffVar(v)
+        | SolveOp::AffSelVar { v, .. }
+        | SolveOp::CmpVarConst(_, v, _)
+        | SolveOp::CmpConstVar(_, _, v)
+        | SolveOp::CmpVarConstAnd(_, v, _)
+        | SolveOp::CmpVarConstOr(_, v, _) => Some(*v),
+        _ => None,
+    }
+}
+
 /// Downgrades a compiled program to the Boolean interpreter
-/// ([`GuardCode::DelayFree`]) when none of its affine ops can produce a
-/// non-constant form.
+/// ([`GuardCode::DelayFree`]) when none of the variables it reads can
+/// carry a rate, so every affine form it builds is constant.
 fn specialize_delay_free(code: GuardCode, rated: &[bool]) -> GuardCode {
     let delay_free = |p: &SolveProg| {
-        p.ops.iter().all(|op| match op {
-            SolveOp::AffVar(v) | SolveOp::CmpVarConst(_, v, _) | SolveOp::CmpConstVar(_, _, v) => {
-                !rated.get(v.0).copied().unwrap_or(false)
-            }
-            _ => true,
-        })
+        p.ops.iter().filter_map(solve_op_var).all(|v| !rated.get(v.0).copied().unwrap_or(false))
     };
     match code {
         GuardCode::Prog(p) if delay_free(&p) => GuardCode::DelayFree(p),
@@ -1551,6 +1680,47 @@ fn flow_mask_from(
     mask
 }
 
+/// The enabledness cache's readers index over `guards`: for each
+/// variable, the slots of the delay-free guards whose programs read it,
+/// in CSR form (`n_vars + 1` offsets, then the slots). Two counting
+/// passes, no per-guard allocation; a guard reading a variable twice is
+/// listed once.
+fn guard_readers_index<'a>(
+    guards: impl Iterator<Item = &'a CompiledGuarded> + Clone,
+    n_vars: usize,
+) -> (Vec<u32>, Vec<u32>) {
+    let reads = |cg: &'a CompiledGuarded| {
+        let ops: &'a [SolveOp] = match &cg.guard {
+            GuardCode::DelayFree(p) => &p.ops,
+            _ => &[],
+        };
+        ops.iter().filter_map(solve_op_var).filter(move |v| v.0 < n_vars).map(move |v| (cg.slot, v))
+    };
+    // `last[v]`: the latest slot listed for `v` (deduplicates per guard).
+    let mut last = vec![u32::MAX; n_vars];
+    let mut at = vec![0u32; n_vars + 1];
+    for (slot, v) in guards.clone().flat_map(reads) {
+        if last[v.0] != slot {
+            last[v.0] = slot;
+            at[v.0 + 1] += 1;
+        }
+    }
+    for v in 0..n_vars {
+        at[v + 1] += at[v];
+    }
+    let mut next = at.clone();
+    let mut readers = vec![0u32; at[n_vars] as usize];
+    last.fill(u32::MAX);
+    for (slot, v) in guards.flat_map(reads) {
+        if last[v.0] != slot {
+            last[v.0] = slot;
+            readers[next[v.0] as usize] = slot;
+            next[v.0] += 1;
+        }
+    }
+    (at, readers)
+}
+
 impl Network {
     /// Compiles the network into reusable [`StepTables`] with all
     /// optimizing tiers enabled — shorthand for [`Network::compile_with`]
@@ -1575,6 +1745,7 @@ impl Network {
         let mut markov = Vec::with_capacity(n_procs);
         let mut invariants = Vec::with_capacity(n_procs);
         let mut trans: Vec<Vec<CompiledTrans>> = Vec::with_capacity(n_procs);
+        let mut n_guard_slots = 0u32;
         for a in self.automata() {
             let n_locs = a.locations.len();
             let mut a_tau: Vec<Vec<CompiledGuarded>> = vec![Vec::new(); n_locs];
@@ -1586,7 +1757,9 @@ impl Network {
                             trans: TransId(i),
                             guard: guard(g),
                             urgent: t.urgent,
+                            slot: n_guard_slots,
                         });
+                        n_guard_slots += 1;
                     }
                     GuardKind::Markovian(rate) => a_markov[t.from.0].push((TransId(i), *rate)),
                     GuardKind::Boolean(_) => {}
@@ -1650,7 +1823,9 @@ impl Network {
                                 trans: TransId(i),
                                 guard: guard(g),
                                 urgent: t.urgent,
+                                slot: n_guard_slots,
                             });
+                            n_guard_slots += 1;
                         }
                     }
                     SyncPart { proc: p, by_loc }
@@ -1692,6 +1867,16 @@ impl Network {
 
         let has_invariants = invariants.iter().flatten().any(Option::is_some);
         let has_rates = rated.iter().any(|&r| r);
+        let (reader_at, guard_readers) = {
+            let sync_guards =
+                sync.iter().flat_map(|st| &st.parts).flat_map(|part| &part.by_loc).flatten();
+            guard_readers_index(tau.iter().flatten().flatten().chain(sync_guards), n_vars)
+        };
+        let loc_rated = self
+            .automata()
+            .iter()
+            .map(|a| a.locations.iter().map(|l| !l.rates.is_empty()).collect())
+            .collect();
         let tables = StepTables {
             tau,
             markov,
@@ -1703,6 +1888,11 @@ impl Network {
             has_invariants,
             has_rates,
             advance_flow_mask,
+            n_guard_slots: n_guard_slots as usize,
+            reader_at,
+            guard_readers,
+            loc_rated,
+            incremental: optimize,
         };
         #[cfg(debug_assertions)]
         if let Err(e) = tables.verify_bytecode() {
@@ -2471,29 +2661,71 @@ impl Network {
     /// Recomputes the active rates into `rates` (clock baseline overlaid
     /// with the current locations' rates) — value-identical to
     /// [`Network::active_rates`].
-    fn refresh_rates(&self, t: &StepTables, rates: &mut Vec<f64>, state: &NetState) {
+    fn refresh_rates(&self, t: &StepTables, s: &mut StepScratch, state: &NetState) {
         // Rate-free models keep an all-zero buffer forever: once filled it can
         // never change (base rates are zero and no location overlays a nonzero
-        // rate), so the refresh is a no-op after the first call.
-        if !t.has_rates && rates.len() == t.base_rates.len() {
+        // rate), so the refresh is a no-op after the first call — provided
+        // the buffer really is that all-zero fill, not the rates a rated
+        // model left in a reused scratch.
+        if !t.has_rates && s.rates_zero && s.rates.len() == t.base_rates.len() {
             return;
         }
-        rates.clear();
-        rates.extend_from_slice(&t.base_rates);
+        s.rates.clear();
+        s.rates.extend_from_slice(&t.base_rates);
         for (p, a) in self.automata().iter().enumerate() {
             for &(v, r) in &a.locations[state.locs[p].0].rates {
-                rates[v.0] = r;
+                s.rates[v.0] = r;
             }
         }
+        s.rates_zero = !t.has_rates;
     }
 
     /// Recomputes the per-variable flow rates of `state` into the scratch
     /// rate buffer — the single refresh a rated stepping sequence (the
     /// `*_rated` methods) shares for a whole step. Rates depend only on
     /// the current locations, so the buffer stays valid until a transition
-    /// fires; delays never invalidate it.
+    /// fires; delays never invalidate it. Ends any incremental stepping
+    /// sequence (see [`Network::stepping_begin`]).
     pub fn rates_refresh(&self, t: &StepTables, s: &mut StepScratch, state: &NetState) {
-        self.refresh_rates(t, &mut s.rates, state);
+        s.cache.active = false;
+        self.refresh_rates(t, s, state);
+    }
+
+    /// Starts an incremental stepping sequence on `state`: refreshes the
+    /// scratch rates and forgets every cached guard truth and the
+    /// Markovian list.
+    ///
+    /// Until a plain entry point ends it, the sequence caches enabledness
+    /// across steps (see the module docs). Its contract: every later call
+    /// on this scratch is a rated or `*_rated_prof` method on this same
+    /// state — [`Network::stepping_refresh`] at the start of each step,
+    /// then [`Network::guarded_candidates_rated_prof`],
+    /// [`Network::markovian_candidates_rated`] and the other readers,
+    /// with the state changed only through
+    /// [`Network::advance_rated_prof`] and [`Network::apply_mut_prof`].
+    /// Any other change to the state needs a new `stepping_begin`.
+    /// Tables compiled with [`CompileOptions::reference`] never cache.
+    pub fn stepping_begin(&self, t: &StepTables, s: &mut StepScratch, state: &NetState) {
+        let c = &mut s.cache;
+        c.active = t.incremental;
+        c.truth.clear();
+        c.truth.resize(t.n_guard_slots, UNKNOWN);
+        c.markov_valid = false;
+        c.moved.clear();
+        c.rates_dirty = false;
+        self.refresh_rates(t, s, state);
+    }
+
+    /// Brings the scratch rates up to date at the start of a step of a
+    /// stepping sequence. Inside a running sequence it refreshes only
+    /// when a firing entered or left a rate-declaring location since the
+    /// last refresh (otherwise the buffer is already `state`'s); outside
+    /// one it always refreshes, like [`Network::rates_refresh`].
+    pub fn stepping_refresh(&self, t: &StepTables, s: &mut StepScratch, state: &NetState) {
+        if !s.cache.active || s.cache.rates_dirty {
+            self.refresh_rates(t, s, state);
+            s.cache.rates_dirty = false;
+        }
     }
 
     /// Allocation-free [`Network::delay_window`]: writes the invariant
@@ -2508,7 +2740,7 @@ impl Network {
         state: &NetState,
         out: &mut IntervalSet,
     ) -> Result<(), EvalError> {
-        self.refresh_rates(t, &mut s.rates, state);
+        self.rates_refresh(t, s, state);
         self.delay_window_rated_prof(t, s, state, out, &mut NoopProfile)
     }
 
@@ -2585,14 +2817,17 @@ impl Network {
         s: &mut StepScratch,
         state: &NetState,
     ) -> Result<(), EvalError> {
-        self.refresh_rates(t, &mut s.rates, state);
+        self.rates_refresh(t, s, state);
         self.guarded_candidates_rated_prof(t, s, state, &mut NoopProfile)
     }
 
     /// [`Network::guarded_candidates_into`] without the rate refresh (see
     /// [`Network::delay_window_rated_prof`] for the contract) and with
-    /// profiling hooks: records one guard evaluation (with its enabled/disabled outcome) per guard
-    /// visited, plus every guard-program opcode executed.
+    /// profiling hooks: records one guard evaluation (with its
+    /// enabled/disabled outcome) per guard evaluated, plus every
+    /// guard-program opcode executed. Inside a stepping sequence (see
+    /// [`Network::stepping_begin`]) delay-free guards whose truth is
+    /// cached are not evaluated, so they record nothing.
     ///
     /// # Errors
     /// Identical to the legacy method.
@@ -2612,9 +2847,7 @@ impl Network {
         for (p, by_loc) in t.tau.iter().enumerate() {
             for cg in &by_loc[state.locs[p].0] {
                 let all = if let GuardCode::DelayFree(prog) = &cg.guard {
-                    let enabled = delay_free_truth(prog, &state.nu, &mut s.solver, prof)?;
-                    prof.guard_eval(p, cg.trans.0, enabled);
-                    if !enabled {
+                    if !s.cache.truth_of(cg, prog, p, &state.nu, &mut s.solver, prof)? {
                         continue;
                     }
                     true
@@ -2657,9 +2890,8 @@ impl Network {
                 let start = s.n_opts;
                 for cg in &part.by_loc[state.locs[part.proc.0].0] {
                     let all = if let GuardCode::DelayFree(prog) = &cg.guard {
-                        let enabled = delay_free_truth(prog, &state.nu, &mut s.solver, prof)?;
-                        prof.guard_eval(part.proc.0, cg.trans.0, enabled);
-                        if !enabled {
+                        let p = part.proc.0;
+                        if !s.cache.truth_of(cg, prog, p, &state.nu, &mut s.solver, prof)? {
                             continue;
                         }
                         true
@@ -2744,13 +2976,43 @@ impl Network {
     /// Allocation-free [`Network::markovian_candidates`]: fills the
     /// scratch Markovian list (read it back via
     /// [`StepScratch::markovian`]) in the legacy enumeration order.
+    /// Ends any incremental stepping sequence.
     pub fn markovian_candidates_into(&self, t: &StepTables, s: &mut StepScratch, state: &NetState) {
-        s.markov.clear();
-        for (p, by_loc) in t.markov.iter().enumerate() {
-            for &(t_id, rate) in &by_loc[state.locs[p].0] {
-                s.markov.push((ProcId(p), t_id, rate));
+        s.cache.active = false;
+        self.markovian_candidates_rated(t, s, state);
+    }
+
+    /// [`Network::markovian_candidates_into`] inside a stepping sequence
+    /// (see [`Network::stepping_begin`]): the list kept from the previous
+    /// step is reused, with only the processes whose location changed
+    /// spliced back in at their place in process order — the same list,
+    /// so the race sums the same rates in the same order. Outside a
+    /// sequence it rebuilds the list.
+    pub fn markovian_candidates_rated(
+        &self,
+        t: &StepTables,
+        s: &mut StepScratch,
+        state: &NetState,
+    ) {
+        let c = &mut s.cache;
+        if !(c.active && c.markov_valid) {
+            s.markov.clear();
+            for (p, by_loc) in t.markov.iter().enumerate() {
+                for &(t_id, rate) in &by_loc[state.locs[p].0] {
+                    s.markov.push((ProcId(p), t_id, rate));
+                }
             }
+            c.markov_valid = c.active;
+            c.moved.clear();
+            return;
         }
+        for &p in &c.moved {
+            let lo = s.markov.partition_point(|e| e.0 .0 < p);
+            let hi = lo + s.markov[lo..].partition_point(|e| e.0 .0 == p);
+            let now = &t.markov[p][state.locs[p].0];
+            s.markov.splice(lo..hi, now.iter().map(|&(t_id, rate)| (ProcId(p), t_id, rate)));
+        }
+        c.moved.clear();
     }
 
     /// In-place [`Network::advance`]: advances `state` by `d` against the
@@ -2769,7 +3031,7 @@ impl Network {
         d: f64,
         window: &IntervalSet,
     ) -> Result<(), EvalError> {
-        self.refresh_rates(t, &mut s.rates, state);
+        self.rates_refresh(t, s, state);
         self.advance_rated_prof(t, s, state, d, window, &mut NoopProfile)
     }
 
@@ -2802,21 +3064,28 @@ impl Network {
         if t.has_invariants {
             s.backup.copy_from(state);
         }
-        advance_unchecked_mut(t, &s.rates, &mut s.vals, state, d, prof)?;
+        let (rates, vals, cache) = (&s.rates, &mut s.vals, &mut s.cache);
+        advance_unchecked_mut(t, rates, vals, cache, state, d, prof)?;
         // Floating-point robustness: retreat from invariant-boundary
         // overshoot exactly like the legacy `advance`. Invariant-free
-        // models have nothing to overshoot.
+        // models have nothing to overshoot. Restoring the backup writes
+        // behind the enabledness cache's back, which is sound: every
+        // value the restore reverts was changed by the attempt before
+        // it, whose writes already evicted its readers, and no guard is
+        // cached in between.
         if t.has_invariants && d > 0.0 && self.invariants_violated(t, s, state, prof) {
             for backoff in [1e-12, 1e-9] {
                 state.copy_from(&s.backup);
-                advance_unchecked_mut(t, &s.rates, &mut s.vals, state, d * (1.0 - backoff), prof)?;
+                let (rates, vals, cache) = (&s.rates, &mut s.vals, &mut s.cache);
+                advance_unchecked_mut(t, rates, vals, cache, state, d * (1.0 - backoff), prof)?;
                 if !self.invariants_violated(t, s, state, prof) {
                     return Ok(());
                 }
             }
             // Both retreats failed: return the full-d state, like legacy.
             state.copy_from(&s.backup);
-            advance_unchecked_mut(t, &s.rates, &mut s.vals, state, d, prof)?;
+            let (rates, vals, cache) = (&s.rates, &mut s.vals, &mut s.cache);
+            advance_unchecked_mut(t, rates, vals, cache, state, d, prof)?;
         }
         Ok(())
     }
@@ -2851,11 +3120,16 @@ impl Network {
         state: &mut NetState,
         parts: &[(ProcId, TransId)],
     ) -> Result<(), EvalError> {
+        s.cache.active = false;
         self.apply_mut_prof(t, s, state, parts, &mut NoopProfile)
     }
 
     /// [`Network::apply_mut`] with profiling hooks: records one firing per
     /// participant plus the effect- and flow-program opcodes executed.
+    /// Inside a stepping sequence (see [`Network::stepping_begin`]) it
+    /// also keeps the sequence's caches in step with the state: changed
+    /// values evict their readers' cached truths, and location changes
+    /// are noted for the Markovian list and the rate refresh.
     ///
     /// # Errors
     /// Identical to the legacy method. On error the state may be partially
@@ -2896,13 +3170,29 @@ impl Network {
                 }
                 s.writes.push((eff.var, v));
             }
+            let from = state.locs[p.0];
+            let c = &mut s.cache;
+            if c.active && from != ct.to {
+                c.rates_dirty |= t.loc_rated[p.0][from.0] || t.loc_rated[p.0][ct.to.0];
+                let markov = &t.markov[p.0];
+                if c.markov_valid && !(markov[from.0].is_empty() && markov[ct.to.0].is_empty()) {
+                    if c.moved.len() == t.markov.len() {
+                        // Firings without a list refresh in between:
+                        // rebuild instead of growing the log.
+                        c.markov_valid = false;
+                        c.moved.clear();
+                    } else {
+                        c.moved.push(p.0);
+                    }
+                }
+            }
             state.locs[p.0] = ct.to;
         }
         for i in 0..s.writes.len() {
             let (var, v) = s.writes[i];
-            state.nu.set(var, v)?;
+            set_noted(t, &mut state.nu, &mut s.cache, var, v)?;
         }
-        run_flows_inner(t, flow_mask, &mut s.vals, &mut state.nu, prof)
+        run_flows_inner(t, flow_mask, &mut s.vals, &mut s.cache, &mut state.nu, prof)
     }
 
     /// Compiles a standalone Boolean predicate (a property goal) for
@@ -2934,7 +3224,9 @@ impl Network {
         state: &NetState,
         out: &mut IntervalSet,
     ) -> Result<(), EvalError> {
+        s.cache.active = false;
         self.active_rates_into(state, &mut s.rates);
+        s.rates_zero = false;
         self.predicate_window_rated_prof(s, pred, state, out, &mut NoopProfile)
     }
 
@@ -2982,11 +3274,14 @@ impl CompiledPredicate {
 }
 
 /// Advances clocks/continuous variables and re-establishes flows, without
-/// boundary snapping.
+/// boundary snapping. The rated variables themselves are written without
+/// telling the enabledness cache: no delay-free guard reads a variable
+/// that can carry a rate, so they have no readers to evict.
 fn advance_unchecked_mut<P: ProfileHooks>(
     t: &StepTables,
     rates: &[f64],
     vals: &mut Vec<Value>,
+    cache: &mut EnabledCache,
     state: &mut NetState,
     d: f64,
     prof: &mut P,
@@ -3006,18 +3301,21 @@ fn advance_unchecked_mut<P: ProfileHooks>(
         // it already established; skip the re-run.
         return Ok(());
     }
-    run_flows_inner(t, t.advance_flow_mask, vals, &mut state.nu, prof)
+    run_flows_inner(t, t.advance_flow_mask, vals, cache, &mut state.nu, prof)
 }
 
 /// Re-establishes flows in definition (topological) order. Bit `i` of
 /// `mask` clear means flow `i`'s reads are untouched by the triggering
 /// writes (including transitively, via earlier flows), so it would
 /// re-evaluate to the value it already holds — skip it. An all-ones mask
-/// runs everything, which is also the fallback for >64 flows.
+/// runs everything, which is also the fallback for >64 flows. A flow that
+/// does run but rewrites the value it already holds evicts nothing from
+/// the enabledness cache.
 fn run_flows_inner<P: ProfileHooks>(
     t: &StepTables,
     mask: u64,
     vals: &mut Vec<Value>,
+    cache: &mut EnabledCache,
     nu: &mut Valuation,
     prof: &mut P,
 ) -> Result<(), EvalError> {
@@ -3040,7 +3338,7 @@ fn run_flows_inner<P: ProfileHooks>(
                 context: format!("flow into {} produced {}", f.name, v.kind()),
             });
         }
-        nu.set(f.target, v)?;
+        set_noted(t, nu, cache, f.target, v)?;
     }
     Ok(())
 }
@@ -4187,5 +4485,441 @@ mod tests {
         flow.prog.ops = vec![EvalOp::VarVarBin(BinOp::Add, VarId(0), VarId(99))];
         let err = tables.verify_bytecode().unwrap_err();
         assert!(err.reason.contains("out of bounds"), "got: {err}");
+    }
+
+    // ---- incremental enabledness ----
+
+    /// Records every guard evaluation the kernel reports.
+    #[derive(Default)]
+    struct Evals(Vec<(usize, usize)>);
+
+    impl ProfileHooks for Evals {
+        const ENABLED: bool = false;
+        fn guard_eval(&mut self, proc: usize, trans: usize, _enabled: bool) {
+            self.0.push((proc, trans));
+        }
+    }
+
+    fn same_cands(reference: &[CandidateBuf], cached: &[CandidateBuf]) {
+        assert_eq!(reference.len(), cached.len(), "candidate count");
+        for (r, c) in reference.iter().zip(cached) {
+            assert_eq!((r.action, &r.parts, r.urgent), (c.action, &c.parts, c.urgent));
+            assert_eq!(r.window, c.window);
+        }
+    }
+
+    /// Drives the engine's incremental stepping sequence on the default
+    /// tables and the plain uncached API on the reference tables in
+    /// lockstep along seeded pseudo-random walks, requiring identical
+    /// delay windows, candidates (order included), Markovian lists and
+    /// successor states at every step. `boundary` makes some steps pure
+    /// delays to the very end of the invariant window, provoking the
+    /// boundary-overshoot retreat; `between` runs after every step on the
+    /// cached side's scratch. Returns how many steps fired a transition.
+    fn lockstep(
+        net: &Network,
+        boundary: bool,
+        mut between: impl FnMut(&StepTables, &mut StepScratch),
+    ) -> usize {
+        let fast = net.compile();
+        let reference = net.compile_with(&CompileOptions::reference());
+        let mut s = StepScratch::new();
+        let mut r = StepScratch::new();
+        let (mut window, mut window_r) = (IntervalSet::empty(), IntervalSet::empty());
+        let mut seed = 0x1dea_5eed_u64;
+        let mut fired = 0;
+        for _path in 0..12 {
+            let mut st = net.initial_state().unwrap();
+            let mut st_r = st.clone();
+            net.stepping_begin(&fast, &mut s, &st);
+            for _ in 0..40 {
+                assert_eq!(format!("{st:?}"), format!("{st_r:?}"), "states diverged");
+                net.stepping_refresh(&fast, &mut s, &st);
+                let w =
+                    net.delay_window_rated_prof(&fast, &mut s, &st, &mut window, &mut NoopProfile);
+                let w_r = net.delay_window_into(&reference, &mut r, &st_r, &mut window_r);
+                assert_eq!(w, w_r);
+                if w.is_err() {
+                    break;
+                }
+                assert_eq!(window, window_r, "delay windows diverged");
+                net.guarded_candidates_rated_prof(&fast, &mut s, &st, &mut NoopProfile).unwrap();
+                net.guarded_candidates_into(&reference, &mut r, &st_r).unwrap();
+                same_cands(r.candidates(), s.candidates());
+                net.markovian_candidates_rated(&fast, &mut s, &st);
+                net.markovian_candidates_into(&reference, &mut r, &st_r);
+                assert_eq!(r.markovian(), s.markovian(), "Markovian lists diverged");
+
+                let pick = lcg(&mut seed) as usize;
+                let sup = window.sup().unwrap_or(0.0);
+                if boundary && pick.is_multiple_of(2) && sup.is_finite() && sup > 0.0 {
+                    let a = net.advance_rated_prof(
+                        &fast,
+                        &mut s,
+                        &mut st,
+                        sup,
+                        &window,
+                        &mut NoopProfile,
+                    );
+                    let a_r = net.advance_mut(&reference, &mut r, &mut st_r, sup, &window_r);
+                    assert_eq!(a, a_r);
+                    if a.is_err() {
+                        break;
+                    }
+                    between(&fast, &mut s);
+                    continue;
+                }
+                let cands = s.candidates();
+                let guarded = cands
+                    .iter()
+                    .cycle()
+                    .skip(pick % cands.len().max(1))
+                    .take(cands.len())
+                    .find(|c| !c.window.intersect(&window).is_empty());
+                let (d, parts) = if let Some(c) = guarded.filter(|_| !pick.is_multiple_of(3)) {
+                    let joint = c.window.intersect(&window);
+                    (joint.earliest_point().unwrap(), c.parts.clone())
+                } else if !s.markovian().is_empty() {
+                    let d = match sup.is_finite() {
+                        true => sup * (lcg(&mut seed) % 100) as f64 / 100.0,
+                        false => (lcg(&mut seed) % 300) as f64 / 100.0,
+                    };
+                    let (p, t, _) = s.markovian()[pick % s.markovian().len()];
+                    (d, vec![(p, t)])
+                } else {
+                    break;
+                };
+                if d > 0.0 {
+                    let a = net.advance_rated_prof(
+                        &fast,
+                        &mut s,
+                        &mut st,
+                        d,
+                        &window,
+                        &mut NoopProfile,
+                    );
+                    let a_r = net.advance_mut(&reference, &mut r, &mut st_r, d, &window_r);
+                    assert_eq!(a, a_r);
+                    if a.is_err() {
+                        break;
+                    }
+                }
+                let a = net.apply_mut_prof(&fast, &mut s, &mut st, &parts, &mut NoopProfile);
+                let a_r = net.apply_mut(&reference, &mut r, &mut st_r, &parts);
+                assert_eq!(a, a_r);
+                if a.is_err() {
+                    break;
+                }
+                fired += 1;
+                between(&fast, &mut s);
+            }
+        }
+        fired
+    }
+
+    /// `late := c >= 2.0`: a flow over a clock flips a Boolean that a
+    /// delay-free guard reads, with no firing in between — only the
+    /// flow re-run inside `advance` can evict the guard's cached truth.
+    fn delay_flow_net() -> Network {
+        let mut net = NetworkBuilder::new();
+        let c = net.var("c", VarType::Clock, Value::Real(0.0));
+        let late = net.var("late", VarType::Bool, Value::Bool(false));
+        let n = net.var("n", VarType::Int { lo: 0, hi: 3 }, Value::Int(0));
+        net.flow(late, Expr::var(c).ge(Expr::real(2.0)));
+        let mut a = AutomatonBuilder::new("tick");
+        let up = a.location("up");
+        a.markovian(
+            up,
+            1.5,
+            [Effect::assign(n, Expr::var(n).add(Expr::int(1)).min(Expr::int(3)))],
+            up,
+        );
+        net.add_automaton(a);
+        let mut w = AutomatonBuilder::new("watch");
+        let idle = w.location("idle");
+        let seen = w.location("seen");
+        w.guarded(idle, ActionId::TAU, Expr::var(late), [Effect::assign(c, Expr::real(0.0))], seen);
+        w.guarded(
+            seen,
+            ActionId::TAU,
+            Expr::var(late).not().and(Expr::var(n).ge(Expr::int(2))),
+            [],
+            idle,
+        );
+        net.add_automaton(w);
+        net.build().unwrap()
+    }
+
+    #[test]
+    fn delay_driven_flow_evicts_in_advance() {
+        let net = delay_flow_net();
+        let t = net.compile();
+        let mut s = StepScratch::new();
+        let mut st = net.initial_state().unwrap();
+        net.stepping_begin(&t, &mut s, &st);
+        net.guarded_candidates_rated_prof(&t, &mut s, &st, &mut NoopProfile).unwrap();
+        assert!(s.candidates().is_empty(), "`late` is false at time 0");
+        let mut window = IntervalSet::empty();
+        net.delay_window_rated_prof(&t, &mut s, &st, &mut window, &mut NoopProfile).unwrap();
+        net.advance_rated_prof(&t, &mut s, &mut st, 2.5, &window, &mut NoopProfile).unwrap();
+        let mut evals = Evals::default();
+        net.guarded_candidates_rated_prof(&t, &mut s, &st, &mut evals).unwrap();
+        assert_eq!(evals.0, vec![(1, 0)], "the flip re-evaluates exactly the `late` guard");
+        assert_eq!(s.candidates().len(), 1, "the advance's flow flip must show");
+        assert!(lockstep(&net, false, |_, _| {}) > 0);
+    }
+
+    /// A flow that re-runs but rewrites the value it already holds
+    /// evicts nothing; the variable its trigger changed does.
+    #[test]
+    fn flow_rewriting_same_value_evicts_nothing() {
+        let mut net = NetworkBuilder::new();
+        let x = net.var("x", VarType::Int { lo: 0, hi: 10 }, Value::Int(0));
+        let y = net.var("y", VarType::Bool, Value::Bool(false));
+        net.flow(y, Expr::var(x).gt(Expr::int(5)));
+        let mut a = AutomatonBuilder::new("w");
+        let l0 = a.location("l0");
+        a.markovian(
+            l0,
+            1.0,
+            [Effect::assign(x, Expr::var(x).add(Expr::int(1)).min(Expr::int(3)))],
+            l0,
+        );
+        net.add_automaton(a);
+        let mut m = AutomatonBuilder::new("m");
+        let m0 = m.location("m0");
+        let m1 = m.location("m1");
+        m.guarded(m0, ActionId::TAU, Expr::var(y), [], m1);
+        m.guarded(m0, ActionId::TAU, Expr::var(x).ge(Expr::int(2)), [], m1);
+        net.add_automaton(m);
+        let net = net.build().unwrap();
+
+        let t = net.compile();
+        let mut s = StepScratch::new();
+        let mut st = net.initial_state().unwrap();
+        net.stepping_begin(&t, &mut s, &st);
+        let mut evals = Evals::default();
+        net.guarded_candidates_rated_prof(&t, &mut s, &st, &mut evals).unwrap();
+        assert_eq!(evals.0, vec![(1, 0), (1, 1)]);
+        net.apply_mut_prof(&t, &mut s, &mut st, &[(ProcId(0), TransId(0))], &mut NoopProfile)
+            .unwrap();
+        let mut evals = Evals::default();
+        net.guarded_candidates_rated_prof(&t, &mut s, &st, &mut evals).unwrap();
+        assert_eq!(evals.0, vec![(1, 1)], "only the reader of the changed `x` re-evaluates");
+        // Nothing changes at all: x saturates at 3, so no guard re-runs.
+        for _ in 0..4 {
+            net.apply_mut_prof(&t, &mut s, &mut st, &[(ProcId(0), TransId(0))], &mut NoopProfile)
+                .unwrap();
+        }
+        net.guarded_candidates_rated_prof(&t, &mut s, &st, &mut evals).unwrap();
+        let mut evals = Evals::default();
+        net.apply_mut_prof(&t, &mut s, &mut st, &[(ProcId(0), TransId(0))], &mut NoopProfile)
+            .unwrap();
+        net.guarded_candidates_rated_prof(&t, &mut s, &st, &mut evals).unwrap();
+        assert!(evals.0.is_empty(), "a rewrite of the held value evicted {:?}", evals.0);
+        assert!(lockstep(&net, false, |_, _| {}) > 0);
+    }
+
+    /// An invariant whose boundary the advance overshoots by one ulp
+    /// (`0.08 + 3·(0.92/3) > 1`), with flows over the rated variable that
+    /// differ between the overshooting attempt and the retreat.
+    #[test]
+    fn boundary_overshoot_retreat_stays_exact() {
+        let mut net = NetworkBuilder::new();
+        let x = net.var("x", VarType::Continuous, Value::Real(0.08));
+        let over = net.var("over", VarType::Bool, Value::Bool(false));
+        let high = net.var("high", VarType::Bool, Value::Bool(false));
+        net.flow(over, Expr::var(x).gt(Expr::real(1.0)));
+        net.flow(high, Expr::var(x).ge(Expr::real(0.99)));
+        let mut a = AutomatonBuilder::new("tank");
+        let fill = a.location_with("fill", Expr::var(x).le(Expr::real(1.0)), [(x, 3.0)]);
+        let drain = a.location("drain");
+        a.guarded(fill, ActionId::TAU, Expr::var(high), [], drain);
+        a.markovian(drain, 2.0, [Effect::assign(x, Expr::real(0.08))], fill);
+        net.add_automaton(a);
+        let mut w = AutomatonBuilder::new("watch");
+        let w0 = w.location("w0");
+        let w1 = w.location("w1");
+        w.guarded(w0, ActionId::TAU, Expr::var(over), [], w1);
+        w.guarded(w0, ActionId::TAU, Expr::var(high), [], w0);
+        w.guarded(w1, ActionId::TAU, Expr::var(over).not(), [], w0);
+        net.add_automaton(w);
+        let net = net.build().unwrap();
+
+        // The scenario really retreats: the full delay overshoots.
+        let st = net.initial_state().unwrap();
+        let w = net.delay_window(&st).unwrap();
+        let d = w.sup().unwrap();
+        assert!(0.08 + 3.0 * d > 1.0, "no overshoot to retreat from");
+        assert!(lockstep(&net, true, |_, _| {}) > 0);
+    }
+
+    /// Delay-free guards on an action-labelled sync, read by both
+    /// participants and changed by a third process's Markovian effect.
+    #[test]
+    fn sync_guards_cache_exactly() {
+        let mut net = NetworkBuilder::new();
+        let k = net.var("k", VarType::Int { lo: 0, hi: 4 }, Value::Int(0));
+        let open = net.var("open", VarType::Bool, Value::Bool(true));
+        let go = net.action("go");
+        let mut src = AutomatonBuilder::new("src");
+        let s0 = src.location("s0");
+        src.markovian(
+            s0,
+            2.0,
+            [Effect::assign(k, Expr::var(k).add(Expr::int(1)).min(Expr::int(4)))],
+            s0,
+        );
+        src.markovian(s0, 0.5, [Effect::assign(open, Expr::var(open).not())], s0);
+        net.add_automaton(src);
+        let mut a = AutomatonBuilder::new("a");
+        let a0 = a.location("a0");
+        let a1 = a.location("a1");
+        a.guarded(a0, go, Expr::var(k).ge(Expr::int(2)), [], a1);
+        a.guarded(a0, go, Expr::var(open), [], a0);
+        a.guarded(a1, go, Expr::TRUE, [Effect::assign(k, Expr::int(0))], a0);
+        net.add_automaton(a);
+        let mut b = AutomatonBuilder::new("b");
+        let b0 = b.location("b0");
+        b.guarded(b0, go, Expr::var(open).and(Expr::var(k).le(Expr::int(3))), [], b0);
+        b.guarded(b0, go, Expr::var(k).eq(Expr::int(4)), [], b0);
+        net.add_automaton(b);
+        let net = net.build().unwrap();
+        assert!(lockstep(&net, false, |_, _| {}) > 0);
+        assert!(lockstep(&torture_net(), false, |_, _| {}) > 0);
+    }
+
+    /// Plain entry points on the same scratch — the CTMC explorer's
+    /// `guarded_candidates_into`/`apply_mut`/`markovian_candidates_into`
+    /// on unrelated states — end the sequence instead of reading (or
+    /// polluting) its cache, and the sequence stays exact after them.
+    #[test]
+    fn plain_calls_interleaved_with_stepping_stay_exact() {
+        for net in [torture_net(), delay_flow_net()] {
+            let other = {
+                let mut st = net.initial_state().unwrap();
+                st.nu.set(VarId(0), Value::Real(3.5)).unwrap();
+                st
+            };
+            let mut calls = 0;
+            lockstep(&net, false, |t, s| {
+                calls += 1;
+                let mut x = other.clone();
+                match calls % 3 {
+                    0 => net.guarded_candidates_into(t, s, &x).unwrap(),
+                    1 => net.markovian_candidates_into(t, s, &x),
+                    _ => {
+                        net.guarded_candidates_into(t, s, &x).unwrap();
+                        if let Some(c) = s.candidates().first() {
+                            let parts = c.parts.clone();
+                            let _ = net.apply_mut(t, s, &mut x, &parts);
+                        }
+                    }
+                }
+                assert!(!s.cache.active, "a plain call left the sequence running");
+            });
+            assert!(calls > 0);
+        }
+    }
+
+    #[test]
+    fn reference_tables_never_cache() {
+        let net = torture_net();
+        let t = net.compile_with(&CompileOptions::reference());
+        let mut s = StepScratch::new();
+        let st = net.initial_state().unwrap();
+        net.stepping_begin(&t, &mut s, &st);
+        assert!(!s.cache.active);
+        let mut first = Evals::default();
+        net.guarded_candidates_rated_prof(&t, &mut s, &st, &mut first).unwrap();
+        let mut second = Evals::default();
+        net.guarded_candidates_rated_prof(&t, &mut s, &st, &mut second).unwrap();
+        assert_eq!(first.0, second.0, "reference evaluates every guard every time");
+    }
+
+    /// A clock compared in the tail of a conjunction (`x >= 0 && c >= 2`,
+    /// fused to `CmpVarConst; CmpVarConstAnd`) keeps its delay window: the
+    /// fused tail's variable counts when classifying delay-free guards.
+    #[test]
+    fn clock_in_fused_conjunction_tail_is_not_delay_free() {
+        let mut net = NetworkBuilder::new();
+        let c = net.var("c", VarType::Clock, Value::Real(0.0));
+        let x = net.var("x", VarType::Int { lo: 0, hi: 5 }, Value::Int(1));
+        let mut a = AutomatonBuilder::new("a");
+        let l0 = a.location("l0");
+        let guard = Expr::var(x).ge(Expr::int(0)).and(Expr::var(c).ge(Expr::real(2.0)));
+        a.guarded(l0, ActionId::TAU, guard, [], l0);
+        net.add_automaton(a);
+        let net = net.build().unwrap();
+        let st = net.initial_state().unwrap();
+        let t = net.compile();
+        assert!(matches!(t.tau[0][0][0].guard, GuardCode::Prog(_)));
+        let mut s = StepScratch::new();
+        net.guarded_candidates_into(&t, &mut s, &st).unwrap();
+        assert_cands_eq(&net.guarded_candidates(&st).unwrap(), s.candidates());
+    }
+
+    #[test]
+    fn readers_index_lists_each_delay_free_reader_once() {
+        let net = delay_flow_net();
+        let t = net.compile();
+        let readers =
+            |v: usize| &t.guard_readers[t.reader_at[v] as usize..t.reader_at[v + 1] as usize];
+        // c (clock) has no delay-free readers; `late` is read by both
+        // watch guards, `n` by the second.
+        assert!(readers(0).is_empty());
+        assert_eq!(readers(1), &[0, 1]);
+        assert_eq!(readers(2), &[1]);
+        assert_eq!(t.n_guard_slots, 2);
+    }
+
+    /// A scratch reused from a rated network must not hand its rates to a
+    /// rate-free network with as many variables.
+    #[test]
+    fn reused_scratch_does_not_leak_rates_into_rate_free_model() {
+        let mut rated = NetworkBuilder::new();
+        let x = rated.var("x", VarType::Continuous, Value::Real(0.0));
+        rated.var("y", VarType::Bool, Value::Bool(false));
+        let mut a = AutomatonBuilder::new("a");
+        a.location_with("l", Expr::TRUE, [(x, 3.0)]);
+        rated.add_automaton(a);
+        let rated = rated.build().unwrap();
+        let mut free = NetworkBuilder::new();
+        let k = free.var("k", VarType::Int { lo: 0, hi: 4 }, Value::Int(0));
+        free.var("z", VarType::Bool, Value::Bool(false));
+        let mut b = AutomatonBuilder::new("b");
+        let m = b.location("m");
+        b.markovian(m, 1.0, [Effect::assign(k, Expr::int(1))], m);
+        free.add_automaton(b);
+        let free = free.build().unwrap();
+
+        let mut s = StepScratch::new();
+        let mut w = IntervalSet::empty();
+        let t_rated = rated.compile();
+        rated.delay_window_into(&t_rated, &mut s, &rated.initial_state().unwrap(), &mut w).unwrap();
+        let t_free = free.compile();
+        let init = free.initial_state().unwrap();
+        for begin in [false, true] {
+            let mut st = init.clone();
+            if begin {
+                rated.stepping_begin(&t_rated, &mut s, &rated.initial_state().unwrap());
+                free.stepping_begin(&t_free, &mut s, &st);
+                free.advance_rated_prof(
+                    &t_free,
+                    &mut s,
+                    &mut st,
+                    1.0,
+                    &IntervalSet::all(),
+                    &mut NoopProfile,
+                )
+                .unwrap();
+            } else {
+                free.advance_mut(&t_free, &mut s, &mut st, 1.0, &IntervalSet::all()).unwrap();
+            }
+            assert_eq!(st, free.advance(&init, 1.0).unwrap(), "stale rates moved `k`");
+            rated
+                .delay_window_into(&t_rated, &mut s, &rated.initial_state().unwrap(), &mut w)
+                .unwrap();
+        }
     }
 }

@@ -54,6 +54,18 @@ impl Value {
         }
     }
 
+    /// Bitwise identity: same kind and same payload, reals compared by
+    /// their bits (so `0.0` and `-0.0` differ, and a NaN equals itself).
+    /// Anything computed from a value cannot change while this holds.
+    pub fn same_bits(self, other: Value) -> bool {
+        match (self, other) {
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Real(a), Value::Real(b)) => a.to_bits() == b.to_bits(),
+            _ => false,
+        }
+    }
+
     /// True if this value is numeric (int or real).
     pub fn is_numeric(self) -> bool {
         matches!(self, Value::Int(_) | Value::Real(_))
@@ -206,6 +218,15 @@ impl fmt::Display for VarType {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn same_bits_compares_reals_bitwise() {
+        assert!(Value::Real(1.5).same_bits(Value::Real(1.5)));
+        assert!(!Value::Real(0.0).same_bits(Value::Real(-0.0)));
+        assert!(Value::Real(f64::NAN).same_bits(Value::Real(f64::NAN)));
+        assert!(!Value::Int(1).same_bits(Value::Real(1.0)));
+        assert!(!Value::Bool(true).same_bits(Value::Bool(false)));
+    }
 
     #[test]
     fn bool_accessors() {

@@ -23,8 +23,8 @@
 use slim_automata::prelude::{Expr, NetState, Network};
 use slim_ctmc::explore::{explore, ExploreConfig};
 use slim_models::{
-    gps_network, repair_network, sensor_filter_network, voting_network, GpsParams, RepairParams,
-    SensorFilterParams, VotingParams,
+    gps_network, launcher_network, repair_network, sensor_filter_network, voting_network,
+    GpsParams, LauncherParams, RepairParams, SensorFilterParams, VotingParams,
 };
 use slim_stats::rng::path_rng;
 use slimsim_bench::alloc::{self, CountingAllocator};
@@ -69,6 +69,23 @@ fn cases() -> Vec<Case> {
             net: gps_network(&GpsParams::default()),
             goal_var: "gps.measurement",
             bound: 10.0,
+        },
+        // The paper models at their benchmark sizes: Table I's largest
+        // simulated redundancy and the Fig 5 recoverable launcher.
+        Case {
+            name: "sensor_filter16",
+            net: sensor_filter_network(&SensorFilterParams {
+                redundancy: 16,
+                ..SensorFilterParams::default()
+            }),
+            goal_var: slim_models::GOAL_VAR,
+            bound: 2.0,
+        },
+        Case {
+            name: "launcher",
+            net: launcher_network(&LauncherParams::default()),
+            goal_var: slim_models::launcher::FAILURE_VAR,
+            bound: 3.0,
         },
     ]
 }
@@ -151,7 +168,7 @@ fn main() {
             "FAIL".to_string()
         };
         println!(
-            "{:>14}: scalar {MEASURED_PATHS} paths, {steps} steps — {calls} allocations \
+            "{:>15}: scalar {MEASURED_PATHS} paths, {steps} steps — {calls} allocations \
              ({bytes} bytes); batched {MEASURED_PATHS} paths, {batch_steps} steps — \
              {batch_calls} allocations ({batch_bytes} bytes) [{verdict}]",
             case.name
@@ -199,7 +216,7 @@ fn explore_allocations_amortised() -> bool {
     let growth = calls.saturating_sub(compile_calls + edge_lists);
     let ok = growth <= GROWTH_BUDGET;
     println!(
-        "{:>14}: explore n=6, {} states — {calls} allocations ({bytes} bytes) = {compile_calls} \
+        "{:>15}: explore n=6, {} states — {calls} allocations ({bytes} bytes) = {compile_calls} \
          compile + {edge_lists} edge lists + {growth} growth (budget {GROWTH_BUDGET}) [{}]",
         "ctmc",
         explored.states,

@@ -11,8 +11,8 @@
 
 use slim_automata::prelude::{CompileOptions, Expr};
 use slim_models::{
-    gps_network, repair_network, sensor_filter_network, voting_network, GpsParams, RepairParams,
-    SensorFilterParams, VotingParams,
+    gps_network, launcher_network, repair_network, sensor_filter_network, voting_network,
+    GpsParams, LauncherParams, RepairParams, SensorFilterParams, VotingParams,
 };
 use slim_stats::rng::path_rng;
 use slimsim_core::prelude::*;
@@ -29,6 +29,19 @@ fn main() {
         ("voting", voting_network(&VotingParams::default()), slim_models::VOTING_GOAL_VAR, 1.0),
         ("repair", repair_network(&RepairParams::default()), slim_models::REPAIR_GOAL_VAR, 2.0),
         ("gps", gps_network(&GpsParams::default()), "gps.measurement", 10.0),
+        // Table I's worst simulated case and the Fig 5 launcher.
+        (
+            "sensor_filter16",
+            sensor_filter_network(&SensorFilterParams { redundancy: 16, ..Default::default() }),
+            slim_models::GOAL_VAR,
+            2.0,
+        ),
+        (
+            "launcher",
+            launcher_network(&LauncherParams::default()),
+            slim_models::launcher::FAILURE_VAR,
+            3.0,
+        ),
     ];
     const PATHS: u64 = 20_000;
     const ROUNDS: usize = 7;
@@ -65,7 +78,7 @@ fn main() {
         let f = fused_t[ROUNDS / 2];
         let r = ref_t[ROUNDS / 2];
         println!(
-            "{name:>14}: fused {:>9.0} paths/s | reference {:>9.0} paths/s | speedup {:.3}x",
+            "{name:>15}: fused {:>9.0} paths/s | reference {:>9.0} paths/s | speedup {:.3}x",
             PATHS as f64 / f,
             PATHS as f64 / r,
             r / f,

@@ -451,6 +451,7 @@ impl<'a> PathGenerator<'a> {
         let result = match &self.initial {
             Ok(init) => {
                 walk.state.copy_from(init);
+                self.net.stepping_begin(&self.tables, &mut s.step, &walk.state);
                 loop {
                     if let Some(end) = self.step(s, &mut walk, strategy, rng, hooks).transpose() {
                         break end;
@@ -464,8 +465,9 @@ impl<'a> PathGenerator<'a> {
         (result, walk.steps)
     }
 
-    /// Advances one path by **one engine step** on the compiled kernel:
-    /// refreshes the flow rates once, computes the goal/hold windows and
+    /// Advances one path by **one engine step** on the compiled kernel's
+    /// stepping sequence (begun per path in [`Self::run_path`]): brings
+    /// the flow rates up to date, computes the goal/hold windows and
     /// the candidate sets against that shared rate buffer, races the
     /// strategy's schedule against the Markovian transitions, and applies
     /// the resolved delay/firing to the path's state.
@@ -500,11 +502,12 @@ impl<'a> PathGenerator<'a> {
             }
         }
 
-        // One rate refresh serves the whole step: rates depend only on
-        // the locations, which no delay changes (see
-        // `Network::rates_refresh`), so every `*_rated_prof` call below
-        // reuses this buffer bit-identically to a per-call refresh.
-        self.net.rates_refresh(&self.tables, &mut s.step, state);
+        // One rate buffer serves the whole step: rates depend only on the
+        // locations, which no delay changes, so every `*_rated_prof` call
+        // below reuses it bit-identically to a per-call refresh. The
+        // buffer is rebuilt only when the last firing entered or left a
+        // rate-declaring location (see `Network::stepping_refresh`).
+        self.net.stepping_refresh(&self.tables, &mut s.step, state);
 
         let remaining = self.property.remaining(state);
         self.goal
@@ -589,17 +592,23 @@ impl<'a> PathGenerator<'a> {
                 slot.window.copy_from(&s.tmp2);
             }
         }
-        self.net.markovian_candidates_into(&self.tables, &mut s.step, state);
+        self.net.markovian_candidates_rated(&self.tables, &mut s.step, state);
 
-        // Precomputed strategy views: the schedulable union (left fold
-        // in candidate order, as Progressive computed it) and the
-        // horizon-capped delay window (Local/MaxTime).
-        s.schedulable.clear();
-        for i in 0..s.n_sched {
-            s.schedulable.union_into(&s.sched[i].window, &mut s.tmp);
-            std::mem::swap(&mut s.schedulable, &mut s.tmp);
+        // Precomputed strategy views, only those the strategy reads: the
+        // schedulable union (left fold in candidate order, as
+        // Progressive computed it) and the horizon-capped delay window
+        // (Local/MaxTime).
+        let views = strategy.views();
+        if views.schedulable {
+            s.schedulable.clear();
+            for i in 0..s.n_sched {
+                s.schedulable.union_into(&s.sched[i].window, &mut s.tmp);
+                std::mem::swap(&mut s.schedulable, &mut s.tmp);
+            }
         }
-        cap_infinite_into(&s.window, cap, &mut s.capped);
+        if views.capped {
+            cap_infinite_into(&s.window, cap, &mut s.capped);
+        }
 
         let decision = strategy.decide(
             &StepView {
@@ -608,8 +617,8 @@ impl<'a> PathGenerator<'a> {
                 window: &s.window,
                 guarded: &s.sched[..s.n_sched],
                 cap,
-                schedulable: Some(&s.schedulable),
-                capped: Some(&s.capped),
+                schedulable: views.schedulable.then_some(&s.schedulable),
+                capped: views.capped.then_some(&s.capped),
             },
             rng,
         )?;

@@ -68,7 +68,7 @@ pub mod prelude {
     pub use crate::runner::{analyze, analyze_observed, analyze_profiled, AnalysisResult};
     pub use crate::strategy::{
         Asap, Decision, Input, InputChoice, InputOracle, Local, MaxTime, Progressive,
-        ScheduledCandidate, ScriptedOracle, StepView, Strategy, StrategyKind,
+        ScheduledCandidate, ScriptedOracle, StepView, Strategy, StrategyKind, StrategyViews,
     };
     pub use crate::trace::{
         events_to_csv, events_to_json_lines, parse_trace, JsonLinesSink, MemorySink, PathTracer,

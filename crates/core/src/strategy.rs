@@ -48,12 +48,32 @@ pub struct StepView<'a> {
     /// Horizon cap used for truncating unbounded windows.
     pub cap: f64,
     /// Union of all guarded candidate windows, when the engine has
-    /// precomputed it; `None` makes strategies compute it on the fly
-    /// (allocating — hand-built views in tests).
+    /// precomputed it (it does for strategies whose
+    /// [`Strategy::views`] ask for it); `None` makes strategies compute
+    /// it on the fly (allocating — hand-built views in tests).
     pub schedulable: Option<&'a IntervalSet>,
     /// `window` with an infinite tail already capped at `cap`, when the
-    /// engine has precomputed it; `None` falls back to capping locally.
+    /// engine has precomputed it (as for `schedulable`); `None` falls
+    /// back to capping locally.
     pub capped: Option<&'a IntervalSet>,
+}
+
+/// Which of the engine's precomputed [`StepView`] views a strategy reads.
+/// The engine computes only the views asked for and passes `None` for the
+/// others.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StrategyViews {
+    /// [`StepView::schedulable`].
+    pub schedulable: bool,
+    /// [`StepView::capped`].
+    pub capped: bool,
+}
+
+impl StrategyViews {
+    /// Both views.
+    pub const ALL: StrategyViews = StrategyViews { schedulable: true, capped: true };
+    /// No view.
+    pub const NONE: StrategyViews = StrategyViews { schedulable: false, capped: false };
 }
 
 /// A strategy's decision for the current step.
@@ -93,6 +113,12 @@ pub trait Strategy: Send {
     /// # Errors
     /// Interactive strategies may fail on invalid input.
     fn decide(&mut self, view: &StepView<'_>, rng: &mut StdRng) -> Result<Decision, SimError>;
+
+    /// The precomputed views [`Strategy::decide`] reads. The default asks
+    /// for both, so a strategy that does not say sees every view.
+    fn views(&self) -> StrategyViews {
+        StrategyViews::ALL
+    }
 }
 
 /// Uniformly picks one index among the candidates enabled at delay `d`
@@ -120,6 +146,10 @@ pub struct Asap;
 impl Strategy for Asap {
     fn name(&self) -> &'static str {
         "asap"
+    }
+
+    fn views(&self) -> StrategyViews {
+        StrategyViews::NONE
     }
 
     fn decide(&mut self, view: &StepView<'_>, rng: &mut StdRng) -> Result<Decision, SimError> {
@@ -161,6 +191,10 @@ impl Strategy for Progressive {
         "progressive"
     }
 
+    fn views(&self) -> StrategyViews {
+        StrategyViews { schedulable: true, capped: false }
+    }
+
     fn decide(&mut self, view: &StepView<'_>, rng: &mut StdRng) -> Result<Decision, SimError> {
         let union_local;
         let union = match view.schedulable {
@@ -194,6 +228,10 @@ pub struct Local;
 impl Strategy for Local {
     fn name(&self) -> &'static str {
         "local"
+    }
+
+    fn views(&self) -> StrategyViews {
+        StrategyViews { schedulable: false, capped: true }
     }
 
     fn decide(&mut self, view: &StepView<'_>, rng: &mut StdRng) -> Result<Decision, SimError> {
@@ -246,6 +284,10 @@ impl Strategy for MaxTime {
         "max-time"
     }
 
+    fn views(&self) -> StrategyViews {
+        StrategyViews { schedulable: false, capped: true }
+    }
+
     fn decide(&mut self, view: &StepView<'_>, rng: &mut StdRng) -> Result<Decision, SimError> {
         let capped_local;
         let capped = match view.capped {
@@ -279,6 +321,10 @@ pub struct TransitionFirst;
 impl Strategy for TransitionFirst {
     fn name(&self) -> &'static str {
         "transition-first"
+    }
+
+    fn views(&self) -> StrategyViews {
+        StrategyViews::NONE
     }
 
     fn decide(&mut self, view: &StepView<'_>, rng: &mut StdRng) -> Result<Decision, SimError> {
@@ -517,6 +563,40 @@ mod tests {
         guarded: &'a [ScheduledCandidate],
     ) -> StepView<'a> {
         StepView { net, state, window, guarded, cap: 1000.0, schedulable: None, capped: None }
+    }
+
+    /// Each built-in strategy declares every precomputed view it reads:
+    /// junk in the views it does not ask for leaves its decisions and RNG
+    /// draws unchanged.
+    #[test]
+    fn declared_views_cover_what_strategies_read() {
+        let net = tiny_net();
+        let s = net.initial_state().unwrap();
+        let w = IntervalSet::from(Interval::closed(0.0, 5.0).unwrap());
+        let cands = [cand(1.0, 2.0, true), cand(3.0, 4.0, false)];
+        let union = cands[0].window.union(&cands[1].window);
+        let junk = IntervalSet::from(Interval::closed(7.0, 9.0).unwrap());
+        for kind in StrategyKind::ALL_EXTENDED {
+            let mut strategy = kind.instantiate();
+            let views = strategy.views();
+            let honest = StepView {
+                schedulable: Some(&union),
+                capped: Some(&w),
+                ..view(&net, &s, &w, &cands)
+            };
+            let masked = StepView {
+                schedulable: Some(if views.schedulable { &union } else { &junk }),
+                capped: Some(if views.capped { &w } else { &junk }),
+                ..view(&net, &s, &w, &cands)
+            };
+            for seed in 0..32 {
+                let (mut r1, mut r2) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let want = strategy.decide(&honest, &mut r1).unwrap();
+                let got = strategy.decide(&masked, &mut r2).unwrap();
+                assert_eq!(got, want, "{kind} reads a view it does not declare");
+                assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "{kind}: RNG streams diverged");
+            }
+        }
     }
 
     #[test]

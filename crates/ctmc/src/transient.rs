@@ -91,7 +91,13 @@ pub fn transient_distribution(ctmc: &Ctmc, t: f64, config: &TransientConfig) -> 
 pub fn timed_reachability(ctmc: &Ctmc, t: f64, config: &TransientConfig) -> f64 {
     let absorbing = ctmc.goal_absorbing();
     let pi = transient_distribution(&absorbing, t, config);
-    pi.iter().zip(&absorbing.goal).filter(|(_, &g)| g).map(|(p, _)| p).sum::<f64>().clamp(0.0, 1.0)
+    // Folded from +0.0: the empty `f64` sum is -0.0, which `clamp` keeps,
+    // so a chain without goal states would report `P = -0`.
+    pi.iter()
+        .zip(&absorbing.goal)
+        .filter(|(_, &g)| g)
+        .fold(0.0, |acc, (p, _)| acc + p)
+        .clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
@@ -109,6 +115,16 @@ mod tests {
             goal: vec![false, true],
             initial: vec![(0, 1.0)],
         }
+    }
+
+    #[test]
+    fn goal_free_chain_is_positive_zero() {
+        let c = Ctmc {
+            rates: vec![vec![(1, 1.0)], vec![]],
+            goal: vec![false, false],
+            initial: vec![(0, 1.0)],
+        };
+        assert_eq!(timed_reachability(&c, 1.0, &cfg()).to_bits(), 0);
     }
 
     #[test]

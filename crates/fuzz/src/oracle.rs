@@ -607,10 +607,12 @@ fn batch_equivalence(
 // ---- fusion equivalence ----
 
 /// Challenges the optimizing compile tiers (superinstruction fusion,
-/// whole-step specialization, write-set–masked flow re-establishment):
-/// the default kernel and the reference kernel must produce bit-identical
-/// per-path outcomes — verdict, step count, end time — or the *same*
-/// error, for the same `(seed, index)` stream.
+/// whole-step specialization, write-set–masked flow re-establishment)
+/// and the incremental-enabledness cache the default tables enable
+/// (reference tables never cache): the default kernel and the reference
+/// kernel must produce bit-identical per-path outcomes — verdict, step
+/// count, end time — or the *same* error, for the same `(seed, index)`
+/// stream.
 fn fusion_equivalence(
     model: &GeneratedModel,
     net: &Network,

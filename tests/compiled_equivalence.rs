@@ -13,10 +13,11 @@
 
 use slim_analysis::analyze_network;
 use slim_models::{
-    gps_network, power_system_network, repair_network, sensor_filter_network, voting_network,
-    GpsParams, PowerSystemParams, RepairParams, SensorFilterParams, VotingParams,
+    gps_network, launcher_network, power_system_network, repair_network, sensor_filter_network,
+    voting_network, GpsParams, LauncherParams, PowerSystemParams, RepairParams, SensorFilterParams,
+    VotingParams,
 };
-use slim_obs::KernelProfile;
+use slim_obs::{KernelProfile, NoopProfile};
 use slimsim::prelude::*;
 
 /// Deterministic linear-congruential driver for the differential walks
@@ -530,5 +531,241 @@ fn witness_capture_unperturbed_by_batching() {
     assert!(!reference.1.is_empty(), "the run selected no witnesses; the guard is vacuous");
     for lanes in [16usize, 64] {
         assert_eq!(run(lanes), reference, "witness capture diverged at batch_lanes {lanes}");
+    }
+}
+
+/// Networks aimed at the incremental-enabledness cache's invalidation
+/// edges, each with a goal predicate:
+/// * `delay-flow` — `late := c >= 2.0` over a clock flips a Boolean a
+///   delay-free guard reads, changed only by the flow re-run in `advance`;
+/// * `overshoot` — an invariant whose boundary a maximal delay overshoots
+///   by one ulp (`0.08 + 3·(0.92/3) > 1`), so `advance` retreats, with
+///   flows over the rated variable that differ across the retreat;
+/// * `sync` — delay-free guards on an action-labelled sync, changed by a
+///   third process's Markovian effects, plus a flow that mostly rewrites
+///   the value it already holds.
+fn cache_edge_models() -> Vec<(&'static str, Network, Expr)> {
+    let delay_flow = {
+        let mut b = NetworkBuilder::new();
+        let c = b.var("c", VarType::Clock, Value::Real(0.0));
+        let late = b.var("late", VarType::Bool, Value::Bool(false));
+        let n = b.var("n", VarType::Int { lo: 0, hi: 3 }, Value::Int(0));
+        let rounds = b.var("rounds", VarType::Int { lo: 0, hi: 3 }, Value::Int(0));
+        b.flow(late, Expr::var(c).ge(Expr::real(2.0)));
+        let mut a = AutomatonBuilder::new("tick");
+        let up = a.location("up");
+        let bump = Expr::var(n).add(Expr::int(1)).min(Expr::int(3));
+        a.markovian(up, 1.5, [Effect::assign(n, bump)], up);
+        b.add_automaton(a);
+        let mut w = AutomatonBuilder::new("watch");
+        let idle = w.location("idle");
+        let seen = w.location("seen");
+        w.guarded(idle, ActionId::TAU, Expr::var(late), [Effect::assign(c, Expr::real(0.0))], seen);
+        let back = Expr::var(late).not().and(Expr::var(n).ge(Expr::int(2)));
+        let count = Expr::var(rounds).add(Expr::int(1)).min(Expr::int(3));
+        w.guarded(seen, ActionId::TAU, back, [Effect::assign(rounds, count)], idle);
+        b.add_automaton(w);
+        let goal = Expr::var(rounds).ge(Expr::int(2));
+        (b.build().unwrap(), goal)
+    };
+    let overshoot = {
+        let mut b = NetworkBuilder::new();
+        let x = b.var("x", VarType::Continuous, Value::Real(0.08));
+        let over = b.var("over", VarType::Bool, Value::Bool(false));
+        let high = b.var("high", VarType::Bool, Value::Bool(false));
+        let cycles = b.var("cycles", VarType::Int { lo: 0, hi: 5 }, Value::Int(0));
+        b.flow(over, Expr::var(x).gt(Expr::real(1.0)));
+        b.flow(high, Expr::var(x).ge(Expr::real(0.99)));
+        let mut a = AutomatonBuilder::new("tank");
+        let fill = a.location_with("fill", Expr::var(x).le(Expr::real(1.0)), [(x, 3.0)]);
+        let drain = a.location("drain");
+        a.guarded(fill, ActionId::TAU, Expr::var(high), [], drain);
+        let count = Expr::var(cycles).add(Expr::int(1)).min(Expr::int(5));
+        let refill = [Effect::assign(x, Expr::real(0.08)), Effect::assign(cycles, count)];
+        a.markovian(drain, 2.0, refill, fill);
+        b.add_automaton(a);
+        let mut w = AutomatonBuilder::new("watch");
+        let w0 = w.location("w0");
+        let w1 = w.location("w1");
+        w.guarded(w0, ActionId::TAU, Expr::var(over), [], w1);
+        w.guarded(w1, ActionId::TAU, Expr::var(over).not(), [], w0);
+        b.add_automaton(w);
+        let goal = Expr::var(cycles).ge(Expr::int(3));
+        (b.build().unwrap(), goal)
+    };
+    let sync = {
+        let mut b = NetworkBuilder::new();
+        let k = b.var("k", VarType::Int { lo: 0, hi: 4 }, Value::Int(0));
+        let open = b.var("open", VarType::Bool, Value::Bool(true));
+        let big = b.var("big", VarType::Bool, Value::Bool(false));
+        let done = b.var("done", VarType::Int { lo: 0, hi: 9 }, Value::Int(0));
+        b.flow(big, Expr::var(k).ge(Expr::int(3)));
+        let go = b.action("go");
+        let mut src = AutomatonBuilder::new("src");
+        let s0 = src.location("s0");
+        let bump = Expr::var(k).add(Expr::int(1)).min(Expr::int(4));
+        src.markovian(s0, 2.0, [Effect::assign(k, bump)], s0);
+        src.markovian(s0, 0.5, [Effect::assign(open, Expr::var(open).not())], s0);
+        b.add_automaton(src);
+        let mut a = AutomatonBuilder::new("a");
+        let a0 = a.location("a0");
+        let a1 = a.location("a1");
+        a.guarded(a0, go, Expr::var(k).ge(Expr::int(2)), [], a1);
+        a.guarded(a0, go, Expr::var(open).and(Expr::var(big)), [], a0);
+        let count = Expr::var(done).add(Expr::int(1)).min(Expr::int(9));
+        a.guarded(
+            a1,
+            go,
+            Expr::TRUE,
+            [Effect::assign(k, Expr::int(0)), Effect::assign(done, count)],
+            a0,
+        );
+        b.add_automaton(a);
+        let mut p = AutomatonBuilder::new("b");
+        let b0 = p.location("b0");
+        p.guarded(b0, go, Expr::var(open).and(Expr::var(k).le(Expr::int(3))), [], b0);
+        p.guarded(b0, go, Expr::var(k).eq(Expr::int(4)), [], b0);
+        b.add_automaton(p);
+        let goal = Expr::var(done).ge(Expr::int(3));
+        (b.build().unwrap(), goal)
+    };
+    vec![
+        ("delay-flow", delay_flow.0, delay_flow.1),
+        ("overshoot", overshoot.0, overshoot.1),
+        ("sync", sync.0, sync.1),
+    ]
+}
+
+/// The engine with the enabledness cache (default compile) against the
+/// uncached reference kernel: per-path outcomes under every strategy,
+/// and the full traces of the first paths, must be identical on the
+/// invalidation edge cases and on the Table I and Fig 5 models.
+#[test]
+fn incremental_enabledness_matches_reference_lane_exact() {
+    let mut models = cache_edge_models();
+    let sf = sensor_filter_network(&SensorFilterParams { redundancy: 4, ..Default::default() });
+    let sf_goal = Expr::var(sf.var_id(slim_models::GOAL_VAR).unwrap());
+    models.push(("sensor_filter", sf, sf_goal));
+    let launcher = launcher_network(&LauncherParams::default());
+    let launcher_goal = Expr::var(launcher.var_id(slim_models::launcher::FAILURE_VAR).unwrap());
+    models.push(("launcher", launcher, launcher_goal));
+    let mut scratch = SimScratch::new();
+    for (name, net, goal) in &models {
+        let property = TimedReach::new(Goal::expr(goal.clone()), 10.0);
+        let cached = PathGenerator::new(net, &property, 2_000);
+        let reference = PathGenerator::with_compile_options(
+            net,
+            &property,
+            2_000,
+            &CompileOptions::reference(),
+        );
+        let mut satisfied = 0;
+        for kind in StrategyKind::ALL_EXTENDED {
+            for i in 0..48u64 {
+                let run = |gen: &PathGenerator<'_>, scratch: &mut SimScratch| {
+                    let mut rng = slimsim::stats::rng::path_rng(5, i);
+                    let mut sink = MemorySink::default();
+                    let out = if i < 4 {
+                        let mut tracer = PathTracer::new(net, &mut sink);
+                        gen.generate_with(
+                            scratch,
+                            kind.instantiate().as_mut(),
+                            &mut rng,
+                            &mut tracer,
+                        )
+                    } else {
+                        gen.generate_with(
+                            scratch,
+                            kind.instantiate().as_mut(),
+                            &mut rng,
+                            &mut NoHooks,
+                        )
+                    };
+                    (
+                        format!("{:?}", out.map_err(|e| e.to_string())),
+                        events_to_json_lines(&sink.events),
+                    )
+                };
+                let want = run(&reference, &mut scratch);
+                let got = run(&cached, &mut scratch);
+                assert_eq!(got, want, "{name}/{kind}: path {i} diverged from the reference kernel");
+                satisfied += usize::from(want.0.contains("Satisfied"));
+            }
+        }
+        assert!(satisfied > 0, "{name}: no path reached the goal; the walk is vacuous");
+    }
+}
+
+/// The CTMC explorer's plain calls (`guarded_candidates_into`,
+/// `apply_mut`, `markovian_candidates_into` on unrelated states),
+/// interleaved on the same scratch with the engine's stepping sequence,
+/// must neither read the sequence's cache nor leave it stale: the
+/// sequence stays lane-exact against the reference kernel throughout.
+#[test]
+fn explore_calls_interleaved_with_stepping_stay_exact() {
+    let mut models = cache_edge_models();
+    let sf = sensor_filter_network(&SensorFilterParams { redundancy: 3, ..Default::default() });
+    let sf_goal = Expr::var(sf.var_id(slim_models::GOAL_VAR).unwrap());
+    models.push(("sensor_filter", sf, sf_goal));
+    for (name, net, _) in &models {
+        let fast = net.compile();
+        let reference = net.compile_with(&CompileOptions::reference());
+        let (mut s, mut r) = (StepScratch::new(), StepScratch::new());
+        let (mut w, mut w_r) = (IntervalSet::empty(), IntervalSet::empty());
+        let mut seed = 0x5eed_u64;
+        let init = net.initial_state().unwrap();
+        for path in 0..8 {
+            let mut st = init.clone();
+            let mut st_r = init.clone();
+            net.stepping_begin(&fast, &mut s, &st);
+            for step in 0..30 {
+                net.stepping_refresh(&fast, &mut s, &st);
+                net.delay_window_rated_prof(&fast, &mut s, &st, &mut w, &mut NoopProfile).unwrap();
+                net.delay_window_into(&reference, &mut r, &st_r, &mut w_r).unwrap();
+                assert_eq!(w, w_r, "{name}: delay window diverged");
+                net.guarded_candidates_rated_prof(&fast, &mut s, &st, &mut NoopProfile).unwrap();
+                net.guarded_candidates_into(&reference, &mut r, &st_r).unwrap();
+                assert_eq!(s.candidates().len(), r.candidates().len(), "{name}: candidates");
+                for (a, b) in s.candidates().iter().zip(r.candidates()) {
+                    assert_eq!((&a.parts, &a.window), (&b.parts, &b.window), "{name}: candidate");
+                }
+                net.markovian_candidates_rated(&fast, &mut s, &st);
+                net.markovian_candidates_into(&reference, &mut r, &st_r);
+                assert_eq!(s.markovian(), r.markovian(), "{name}: Markovian list diverged");
+
+                let pick = lcg(&mut seed) as usize;
+                let parts = match (s.candidates(), s.markovian()) {
+                    (c, _) if !c.is_empty() && pick.is_multiple_of(2) => {
+                        c[pick % c.len()].parts.clone()
+                    }
+                    (_, m) if !m.is_empty() => vec![(m[pick % m.len()].0, m[pick % m.len()].1)],
+                    _ => break,
+                };
+                let d = match w.sup() {
+                    Some(sup) if sup.is_finite() => sup * 0.5,
+                    _ => 0.25,
+                };
+                net.advance_rated_prof(&fast, &mut s, &mut st, d, &w, &mut NoopProfile).unwrap();
+                net.advance_mut(&reference, &mut r, &mut st_r, d, &w_r).unwrap();
+                net.apply_mut_prof(&fast, &mut s, &mut st, &parts, &mut NoopProfile).unwrap();
+                net.apply_mut(&reference, &mut r, &mut st_r, &parts).unwrap();
+                assert_eq!(format!("{st:?}"), format!("{st_r:?}"), "{name}: states diverged");
+
+                // Explore-style expansion of the initial state on the
+                // engine's scratch, every few steps and after a restart.
+                if (step + path) % 3 == 0 {
+                    net.guarded_candidates_into(&fast, &mut s, &init).unwrap();
+                    let firings: Vec<_> = s.candidates().iter().map(|c| c.parts.clone()).collect();
+                    for parts in firings {
+                        let mut succ = init.clone();
+                        let _ = net.apply_mut(&fast, &mut s, &mut succ, &parts);
+                    }
+                    net.markovian_candidates_into(&fast, &mut s, &init);
+                    if step % 2 == 0 {
+                        net.stepping_begin(&fast, &mut s, &st);
+                    }
+                }
+            }
+        }
     }
 }
