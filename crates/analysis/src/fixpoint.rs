@@ -35,8 +35,9 @@ use crate::domain::{abs_eval, refine, AbsVal, TOP_NUM};
 use crate::zone::{constrain_expr, max_literal, Dbm, ZoneCtx};
 use slim_automata::automaton::{ActionId, GuardKind, LocId, ProcId, TransId};
 use slim_automata::expr::{BinOp, Expr, VarId};
-use slim_automata::network::{Network, PrunePlan};
+use slim_automata::network::{NetUid, Network, PrunePlan};
 use slim_automata::value::{Value, VarType};
+use std::cell::RefCell;
 
 /// Joins tolerated per (process, location) env — and per store variable —
 /// before widening kicks in. Zone joins use the same threshold.
@@ -124,16 +125,126 @@ pub fn analyze_network(net: &Network) -> Fixpoint {
 }
 
 /// Runs the fixpoint over `net` with explicit [`AnalysisOptions`].
+///
+/// The result is memoized per thread in a single slot keyed by the
+/// network's [`NetUid`], the zone setting and the effective
+/// extrapolation constant (`k`; ignored with zones off),
+/// which together determine the fixpoint completely. The key is exact
+/// because a [`Network`] cannot change after assembly: equal ids mean
+/// clones of one assembly. So the lint pre-flight, the pre-verdict and
+/// the CLI's prune/summary step share one engine run whenever the
+/// property deadline does not raise `k`, while a pruned network (fresh
+/// id) is analysed afresh.
 pub fn analyze_network_with(net: &Network, opts: &AnalysisOptions) -> Fixpoint {
-    Engine::new(net, opts).run()
+    let k = if opts.zones { extrapolation_k(net, opts.deadline) } else { 0.0 };
+    let key = (net.uid(), opts.zones, k.to_bits());
+    let hit = LAST_FIXPOINT.with_borrow(|slot| match slot {
+        Some((at, fix)) if *at == key => Some(fix.clone()),
+        _ => None,
+    });
+    if let Some(fix) = hit {
+        return fix;
+    }
+    let fix = Engine::new(net, opts.zones, k).run();
+    LAST_FIXPOINT.set(Some((key, fix.clone())));
+    fix
+}
+
+/// What determines a fixpoint: the network, the zone flag and the bits of
+/// the effective extrapolation constant (0 with zones off).
+type MemoKey = (NetUid, bool, u64);
+
+thread_local! {
+    /// The last fixpoint computed on this thread, under its key.
+    static LAST_FIXPOINT: RefCell<Option<(MemoKey, Fixpoint)>> = const { RefCell::new(None) };
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Engine runs on this thread (memo misses), for the memo tests.
+    static ENGINE_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The zone domain's extrapolation constant for `net` under a property
+/// `deadline`: the largest magnitude among the deadline, every literal of
+/// the model's invariants, guards, effects and flows, and the initial
+/// values of the tracked clocks — and at least 1. The engine and the
+/// memo key of [`analyze_network_with`] both take `k` from here.
+fn extrapolation_k(net: &Network, deadline: Option<f64>) -> f64 {
+    let mut k = deadline.unwrap_or(0.0).abs();
+    for a in net.automata() {
+        for l in &a.locations {
+            k = k.max(max_literal(&l.invariant));
+        }
+        for t in &a.transitions {
+            if let GuardKind::Boolean(g) = &t.guard {
+                k = k.max(max_literal(g));
+            }
+            for eff in &t.effects {
+                k = k.max(max_literal(&eff.expr));
+            }
+        }
+    }
+    for f in net.flows() {
+        k = k.max(max_literal(&f.expr));
+    }
+    for (v, _) in tracked_clocks(net) {
+        let decl = &net.vars()[v.0];
+        if let Value::Real(r) = decl.ty.canonicalize(decl.init) {
+            k = k.max(r.abs());
+        }
+    }
+    k.max(1.0)
+}
+
+/// The clocks the zone product tracks, each with the one process whose
+/// effects may reset it (`None`: never written, tracked by every
+/// process). Then "whenever p is at l, the clock valuation lies in the
+/// zone" holds regardless of interleaving, because no foreign step can
+/// move the tracked clocks. Flow targets, clocks written by several
+/// processes and rate-listed clocks are excluded (their dynamics are not
+/// plain rate-1 elapse).
+fn tracked_clocks(net: &Network) -> Vec<(VarId, Option<usize>)> {
+    let nvars = net.vars().len();
+    let mut excluded = vec![false; nvars];
+    let mut writer: Vec<Option<usize>> = vec![None; nvars];
+    for f in net.flows() {
+        excluded[f.target.0] = true;
+    }
+    for (p, a) in net.automata().iter().enumerate() {
+        for l in &a.locations {
+            for (v, _) in &l.rates {
+                excluded[v.0] = true;
+            }
+        }
+        for t in &a.transitions {
+            for eff in &t.effects {
+                match writer[eff.var.0] {
+                    None => writer[eff.var.0] = Some(p),
+                    Some(q) if q == p => {}
+                    Some(_) => excluded[eff.var.0] = true,
+                }
+            }
+        }
+    }
+    net.vars()
+        .iter()
+        .enumerate()
+        .filter(|&(v, decl)| decl.ty == VarType::Clock && !excluded[v])
+        .map(|(v, _)| (VarId(v), writer[v]))
+        .collect()
 }
 
 struct Engine<'n> {
     net: &'n Network,
     timed: Vec<bool>,
+    /// Indices of the timed variables.
+    timed_vars: Vec<usize>,
     priv_vars: Vec<Vec<VarId>>,
     /// Global var → index into its owner's `priv_vars` list.
     priv_idx: Vec<Option<(usize, usize)>>,
+    /// Outgoing transitions per `[proc][loc]`, in transition order.
+    out: Vec<Vec<Vec<usize>>>,
     reachable: Vec<Vec<bool>>,
     envs: Vec<Vec<Option<Vec<AbsVal>>>>,
     env_joins: Vec<Vec<u32>>,
@@ -152,13 +263,124 @@ struct Engine<'n> {
     /// non-canonical after widening/extrapolation; readers re-close.
     zones: Vec<Vec<Option<Dbm>>>,
     zone_joins: Vec<Vec<u32>>,
+    deps: Deps,
+    /// Reused per-transition buffers: the frame, the effect writes, the
+    /// guard-met source zone and the target residence zone.
+    frame_buf: Vec<AbsVal>,
+    writes_buf: Vec<(VarId, AbsVal)>,
+    zone_buf: Option<Dbm>,
+    res_buf: Dbm,
     changed: bool,
     rounds: usize,
     widenings: usize,
 }
 
+/// Change stamps for dirty-location scheduling.
+///
+/// Processing `(p, l)` is a function of its env and zone, the store
+/// variables its outgoing guards, effects and target invariants — and,
+/// when it has outgoing transitions, the flows — read, and the live
+/// flags behind its sync actions. Every change to one of those bumps
+/// `tick` and stamps the input; a location whose inputs all carry stamps
+/// no newer than the start of its last processing would only re-join
+/// values its targets already contain (all joins are monotone), so
+/// skipping it leaves the sequence of effective joins — and with it
+/// `rounds` and `widenings` — exactly as the plain round-robin produces
+/// it.
+struct Deps {
+    tick: u64,
+    /// Tick at the start of the last processing of `[proc][loc]`.
+    seen: Vec<Vec<u64>>,
+    /// Last change of the env or zone at `[proc][loc]`.
+    loc: Vec<Vec<u64>>,
+    /// Last change per store variable.
+    var: Vec<u64>,
+    /// Last change of a live flag per action.
+    action: Vec<u64>,
+    /// Store variables read from `[proc][loc]`. Timed variables (pinned
+    /// to ⊤ for good) and the process's own private variables (the frame
+    /// takes them from the env) are left out.
+    reads: Vec<Vec<Vec<usize>>>,
+    /// Sync actions of the outgoing transitions of `[proc][loc]`.
+    syncs: Vec<Vec<Vec<usize>>>,
+}
+
+impl Deps {
+    fn new(
+        net: &Network,
+        out: &[Vec<Vec<usize>>],
+        priv_idx: &[Option<(usize, usize)>],
+        timed: &[bool],
+    ) -> Deps {
+        let mut flow_reads = Vec::new();
+        for f in net.flows() {
+            f.expr.collect_vars(&mut flow_reads);
+        }
+        let mut reads = Vec::with_capacity(out.len());
+        let mut syncs = Vec::with_capacity(out.len());
+        for (p, a) in net.automata().iter().enumerate() {
+            let (mut rp, mut sp) = (Vec::new(), Vec::new());
+            for ts in &out[p] {
+                let (mut r, mut s) = (Vec::new(), Vec::new());
+                if !ts.is_empty() {
+                    r.extend_from_slice(&flow_reads);
+                }
+                for &t in ts {
+                    let trans = &a.transitions[t];
+                    if let GuardKind::Boolean(g) = &trans.guard {
+                        g.collect_vars(&mut r);
+                    }
+                    for eff in &trans.effects {
+                        eff.expr.collect_vars(&mut r);
+                    }
+                    a.locations[trans.to.0].invariant.collect_vars(&mut r);
+                    if !trans.action.is_tau() {
+                        s.push(trans.action.0);
+                    }
+                }
+                let mut r: Vec<usize> = r
+                    .into_iter()
+                    .filter(|v| !timed[v.0] && priv_idx[v.0].is_none_or(|(owner, _)| owner != p))
+                    .map(|v| v.0)
+                    .collect();
+                r.sort_unstable();
+                r.dedup();
+                s.sort_unstable();
+                s.dedup();
+                rp.push(r);
+                sp.push(s);
+            }
+            reads.push(rp);
+            syncs.push(sp);
+        }
+        Deps {
+            tick: 1,
+            seen: out.iter().map(|ls| vec![0; ls.len()]).collect(),
+            // Every location starts out stale.
+            loc: out.iter().map(|ls| vec![1; ls.len()]).collect(),
+            var: vec![0; net.vars().len()],
+            action: vec![0; net.actions().len()],
+            reads,
+            syncs,
+        }
+    }
+
+    fn bump(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
+    /// Whether an input of `(p, l)` changed since its last processing.
+    fn stale(&self, p: usize, l: usize) -> bool {
+        let seen = self.seen[p][l];
+        self.loc[p][l] > seen
+            || self.reads[p][l].iter().any(|&v| self.var[v] > seen)
+            || self.syncs[p][l].iter().any(|&a| self.action[a] > seen)
+    }
+}
+
 impl<'n> Engine<'n> {
-    fn new(net: &'n Network, opts: &AnalysisOptions) -> Engine<'n> {
+    fn new(net: &'n Network, zones_on: bool, k: f64) -> Engine<'n> {
         let vars = net.vars();
         let nvars = vars.len();
         let timed: Vec<bool> = vars.iter().map(|d| d.ty.is_timed()).collect();
@@ -227,65 +449,34 @@ impl<'n> Engine<'n> {
             .collect();
         let env_joins = net.automata().iter().map(|a| vec![0; a.locations.len()]).collect();
         let live = net.automata().iter().map(|a| vec![false; a.transitions.len()]).collect();
+        let out: Vec<Vec<Vec<usize>>> = net
+            .automata()
+            .iter()
+            .map(|a| {
+                let mut out = vec![Vec::new(); a.locations.len()];
+                for (t, trans) in a.transitions.iter().enumerate() {
+                    out[trans.from.0].push(t);
+                }
+                out
+            })
+            .collect();
+        let deps = Deps::new(net, &out, &priv_idx, &timed);
 
-        // Clock-zone product setup. A clock is tracked by process `p`
-        // when only `p`'s effects can reset it (never-written clocks are
-        // tracked by everyone): then "whenever p is at l, the clock
-        // valuation lies in the zone" holds regardless of interleaving,
-        // because no foreign step can move the tracked clocks. Flow
-        // targets and rate-listed clocks are excluded (their dynamics are
-        // not plain rate-1 elapse).
+        // Clock-zone product setup (see `tracked_clocks`).
         let nprocs = net.automata().len();
-        let zones_on = opts.zones;
         let mut zclocks: Vec<Vec<VarId>> = vec![Vec::new(); nprocs];
         let mut zidx: Vec<Vec<Option<usize>>> = vec![vec![None; nvars]; nprocs];
-        let mut k = opts.deadline.unwrap_or(0.0).abs();
         if zones_on {
-            let mut writer: Vec<Option<usize>> = vec![None; nvars];
-            let mut multi_writer = vec![false; nvars];
-            let mut rate_listed = vec![false; nvars];
-            for (p, a) in net.automata().iter().enumerate() {
-                for l in &a.locations {
-                    k = k.max(max_literal(&l.invariant));
-                    for (v, _) in &l.rates {
-                        rate_listed[v.0] = true;
-                    }
-                }
-                for t in &a.transitions {
-                    if let GuardKind::Boolean(g) = &t.guard {
-                        k = k.max(max_literal(g));
-                    }
-                    for eff in &t.effects {
-                        k = k.max(max_literal(&eff.expr));
-                        match writer[eff.var.0] {
-                            None => writer[eff.var.0] = Some(p),
-                            Some(q) if q == p => {}
-                            Some(_) => multi_writer[eff.var.0] = true,
-                        }
-                    }
-                }
-            }
-            for f in net.flows() {
-                k = k.max(max_literal(&f.expr));
-            }
-            for (v, decl) in vars.iter().enumerate() {
-                if decl.ty != VarType::Clock || flow_target[v] || multi_writer[v] || rate_listed[v]
-                {
-                    continue;
-                }
-                if let Value::Real(r) = decl.ty.canonicalize(decl.init) {
-                    k = k.max(r.abs());
-                }
-                let mut track = |p: usize, zclocks: &mut Vec<Vec<VarId>>| {
-                    zidx[p][v] = Some(zclocks[p].len() + 1);
-                    zclocks[p].push(VarId(v));
+            for (v, writer) in tracked_clocks(net) {
+                let mut track = |p: usize| {
+                    zidx[p][v.0] = Some(zclocks[p].len() + 1);
+                    zclocks[p].push(v);
                 };
-                match writer[v] {
-                    Some(p) => track(p, &mut zclocks),
-                    None => (0..nprocs).for_each(|p| track(p, &mut zclocks)),
+                match writer {
+                    Some(p) => track(p),
+                    None => (0..nprocs).for_each(track),
                 }
             }
-            k = k.max(1.0);
         }
         // Initial residence zones: the exact initial point (clock inits
         // plus global time T = 0), intersected with the init location's
@@ -316,7 +507,9 @@ impl<'n> Engine<'n> {
                     // An initially violated invariant aborts at t = 0;
                     // keep the point zone rather than ⊥ (sound).
                     let met = if met.close() { met } else { entry };
-                    zs[a.init.0] = Some(residence_zone(met, inv, &ctx, k));
+                    let mut res = met.clone();
+                    residence_zone(&met, inv, &ctx, k, &mut res);
+                    zs[a.init.0] = Some(res);
                 }
                 zs
             })
@@ -325,9 +518,11 @@ impl<'n> Engine<'n> {
 
         Engine {
             net,
+            timed_vars: (0..nvars).filter(|&v| timed[v]).collect(),
             timed,
             priv_vars,
             priv_idx,
+            out,
             reachable,
             envs,
             env_joins,
@@ -340,6 +535,11 @@ impl<'n> Engine<'n> {
             zidx,
             zones,
             zone_joins,
+            deps,
+            frame_buf: Vec::with_capacity(nvars),
+            writes_buf: Vec::new(),
+            zone_buf: None,
+            res_buf: Dbm::unconstrained(0),
             changed: false,
             rounds: 0,
             widenings: 0,
@@ -367,15 +567,16 @@ impl<'n> Engine<'n> {
         })
     }
 
-    /// Frame over all variables as seen from `(p, l)`.
-    fn frame(&self, p: usize, l: usize) -> Vec<AbsVal> {
-        let mut f = self.store.clone();
+    /// The frame over all variables as seen from `(p, l)`, into a reused
+    /// buffer.
+    fn frame_into(&self, p: usize, l: usize, f: &mut Vec<AbsVal>) {
+        f.clear();
+        f.extend_from_slice(&self.store);
         if let Some(env) = &self.envs[p][l] {
             for (i, v) in self.priv_vars[p].iter().enumerate() {
                 f[v.0] = env[i];
             }
         }
-        f
     }
 
     /// Every participant of `action` has a live transition carrying it.
@@ -389,13 +590,18 @@ impl<'n> Engine<'n> {
         })
     }
 
+    /// Round-robin over the reachable locations until nothing changes,
+    /// skipping locations whose inputs are unchanged (see [`Deps`]).
     fn run(mut self) -> Fixpoint {
+        #[cfg(test)]
+        ENGINE_RUNS.set(ENGINE_RUNS.get() + 1);
         loop {
             self.rounds += 1;
             self.changed = false;
             for p in 0..self.net.automata().len() {
                 for l in 0..self.net.automata()[p].locations.len() {
-                    if self.reachable[p][l] {
+                    if self.reachable[p][l] && self.deps.stale(p, l) {
+                        self.deps.seen[p][l] = self.deps.tick;
                         self.process_location(p, l);
                     }
                 }
@@ -407,24 +613,36 @@ impl<'n> Engine<'n> {
         self.finish()
     }
 
-    fn process_location(&mut self, p: usize, l: usize) {
-        let res_zone = self.residence_at(p, l);
-        let ntrans = self.net.automata()[p].transitions.len();
-        for t in 0..ntrans {
-            let trans = &self.net.automata()[p].transitions[t];
-            if trans.from.0 != l {
-                continue;
+    /// Marks the fixpoint as changed and returns a fresh change stamp.
+    fn touch(&mut self) -> u64 {
+        self.changed = true;
+        self.deps.bump()
+    }
+
+    /// Sets the live flag of `(p, t)`, stamping its sync action.
+    fn set_live(&mut self, p: usize, t: usize, action: ActionId) {
+        if !self.live[p][t] {
+            self.live[p][t] = true;
+            let stamp = self.touch();
+            if !action.is_tau() {
+                self.deps.action[action.0] = stamp;
             }
+        }
+    }
+
+    fn process_location(&mut self, p: usize, l: usize) {
+        let net = self.net;
+        let res_zone = self.residence_at(p, l);
+        let mut fr = std::mem::take(&mut self.frame_buf);
+        let mut zone = self.zone_buf.take();
+        for i in 0..self.out[p][l].len() {
+            let t = self.out[p][l][i];
+            let trans = &net.automata()[p].transitions[t];
             let (to, action) = (trans.to.0, trans.action);
-            let mut fr = self.frame(p, l);
-            let mut zone = res_zone.clone();
+            self.frame_into(p, l, &mut fr);
+            zone.clone_from(&res_zone);
             match &trans.guard {
-                GuardKind::Markovian(_) => {
-                    if !self.live[p][t] {
-                        self.live[p][t] = true;
-                        self.changed = true;
-                    }
-                }
+                GuardKind::Markovian(_) => self.set_live(p, t, action),
                 GuardKind::Boolean(g) => {
                     if !refine(g, true, &mut fr) {
                         continue; // guard unsatisfiable from here
@@ -439,30 +657,77 @@ impl<'n> Engine<'n> {
                             continue; // zone-dead guard from here
                         }
                     }
-                    if !self.live[p][t] {
-                        self.live[p][t] = true;
-                        self.changed = true;
-                    }
+                    self.set_live(p, t, action);
                     if !action.is_tau() && !self.action_available(action) {
                         continue;
                     }
                 }
             }
-            self.transfer(p, t, to, fr, zone);
+            self.transfer(p, t, to, &mut fr, zone.as_mut());
         }
+        self.frame_buf = fr;
+        self.zone_buf = zone;
     }
 
     /// Applies effects, flows, and the target invariant to the refined
     /// source frame, then joins the result into `(p, to)` and the store.
     /// `zone` is the canonical guard-met zone at the source (`None` with
     /// the zone product off).
-    fn transfer(&mut self, p: usize, t: usize, to: usize, mut fr: Vec<AbsVal>, zone: Option<Dbm>) {
+    fn transfer(
+        &mut self,
+        p: usize,
+        t: usize,
+        to: usize,
+        fr: &mut [AbsVal],
+        mut zone: Option<&mut Dbm>,
+    ) {
+        let mut writes = std::mem::take(&mut self.writes_buf);
+        writes.clear();
+        if self.post(p, t, to, fr, zone.as_deref_mut(), &mut writes) {
+            if !self.reachable[p][to] {
+                self.reachable[p][to] = true;
+                self.touch();
+            }
+            // The residence closure: every valuation reachable by
+            // elapsing time from a surviving entry while the target's
+            // invariant keeps holding.
+            if let Some(entry) = zone {
+                let mut res = std::mem::replace(&mut self.res_buf, Dbm::unconstrained(0));
+                let inv = &self.net.automata()[p].locations[to].invariant;
+                let ctx = ZoneCtx { zidx: &self.zidx[p], read: &|v| fr[v.0] };
+                residence_zone(entry, inv, &ctx, self.k, &mut res);
+                self.join_zone(p, to, &res);
+                self.res_buf = res;
+            }
+            self.join_env(p, to, fr);
+            for &(v, _) in &writes {
+                if self.priv_idx[v.0].is_none() {
+                    self.join_store(v, fr[v.0]);
+                }
+            }
+        }
+        self.writes_buf = writes;
+    }
+
+    /// The post-state of `(p, t)` into `(p, to)`: rewrites `fr` in place,
+    /// records the written variables in `writes` and, with the zone
+    /// product on, leaves the canonical entry zone (target invariant
+    /// met) in `zone`. Returns `false` when every run through the
+    /// transition aborts.
+    fn post(
+        &self,
+        p: usize,
+        t: usize,
+        to: usize,
+        fr: &mut [AbsVal],
+        mut zone: Option<&mut Dbm>,
+        writes: &mut Vec<(VarId, AbsVal)>,
+    ) -> bool {
         let trans = &self.net.automata()[p].transitions[t];
         // Clock resets in the zone, evaluated over the pre-state frame
         // (before the interval writes land). A singleton value is an
         // exact reset; anything else frees the clock to the value's
         // interval hull.
-        let mut zone = zone;
         if let Some(z) = &mut zone {
             for eff in &trans.effects {
                 let Some(i) = self.zidx[p][eff.var.0] else { continue };
@@ -477,7 +742,7 @@ impl<'n> Engine<'n> {
                             z.constrain(0, i, -lo);
                         }
                         if !z.close() {
-                            return; // unreachable: bounding a freed clock
+                            return false; // unreachable: bounding a freed clock
                         }
                     }
                     AbsVal::Bool(_) => z.free(i),
@@ -485,31 +750,28 @@ impl<'n> Engine<'n> {
             }
         }
         // Effects read the pre-state simultaneously, then write.
-        let mut writes: Vec<(VarId, AbsVal)> = Vec::with_capacity(trans.effects.len());
         for eff in &trans.effects {
             let val = abs_eval(&eff.expr, &|v| fr[v.0]);
             if self.timed[eff.var.0] {
                 continue; // re-pinned to ⊤ below
             }
             let Some(val) = val.meet(AbsVal::of_type(self.net.ty_of(eff.var))) else {
-                return; // provably out of range: the step always errors
+                return false; // provably out of range: the step always errors
             };
             writes.push((eff.var, val));
         }
-        for (v, val) in &writes {
+        for (v, val) in writes.iter() {
             fr[v.0] = *val;
         }
         // Time may pass before the frame is next observed.
-        for (v, timed) in self.timed.iter().enumerate() {
-            if *timed {
-                fr[v] = TOP_NUM;
-            }
+        for &v in &self.timed_vars {
+            fr[v] = TOP_NUM;
         }
         // Flows re-derive their targets in every state.
         for f in self.net.flows() {
             let val = abs_eval(&f.expr, &|v| fr[v.0]);
             let Some(val) = val.meet(AbsVal::of_type(self.net.ty_of(f.target))) else {
-                return;
+                return false;
             };
             fr[f.target.0] = val;
             writes.push((f.target, val));
@@ -517,55 +779,33 @@ impl<'n> Engine<'n> {
         // Entering a location whose invariant the new valuation violates
         // aborts the run; surviving runs satisfy it.
         let inv = &self.net.automata()[p].locations[to].invariant;
-        if !inv.is_const_true() && !refine(inv, true, &mut fr) {
-            return;
+        if !inv.is_const_true() && !refine(inv, true, fr) {
+            return false;
         }
-        // Zone side of the entry check, then the residence closure: the
-        // target zone is every valuation reachable by elapsing time from
-        // a surviving entry while the invariant keeps holding.
-        let mut zjoin: Option<Dbm> = None;
-        if let Some(mut ze) = zone {
+        // Zone side of the entry check.
+        let Some(ze) = zone else { return true };
+        if !inv.is_const_true() {
             let ctx = ZoneCtx { zidx: &self.zidx[p], read: &|v| fr[v.0] };
-            if !inv.is_const_true() {
-                constrain_expr(&mut ze, &ctx, inv, true);
-            }
-            if !ze.close() {
-                return; // every entering run aborts on the invariant
-            }
-            zjoin = Some(residence_zone(ze, inv, &ctx, self.k));
+            constrain_expr(ze, &ctx, inv, true);
         }
-
-        if !self.reachable[p][to] {
-            self.reachable[p][to] = true;
-            self.changed = true;
-        }
-        if let Some(w) = zjoin {
-            self.join_zone(p, to, w);
-        }
-        self.join_env(p, to, &fr);
-        for (v, _) in writes {
-            if self.priv_idx[v.0].is_none() {
-                self.join_store(v, fr[v.0]);
-            }
-        }
+        ze.close() // empty: every entering run aborts on the invariant
     }
 
     fn join_env(&mut self, p: usize, to: usize, fr: &[AbsVal]) {
-        let vals: Vec<AbsVal> = self.priv_vars[p].iter().map(|v| fr[v.0]).collect();
         let widen = self.env_joins[p][to] >= WIDEN_AFTER;
         let mut grew = false;
         match &mut self.envs[p][to] {
             slot @ None => {
-                *slot = Some(vals);
+                *slot = Some(self.priv_vars[p].iter().map(|v| fr[v.0]).collect());
                 grew = true;
             }
             Some(old) => {
-                for (i, nv) in vals.iter().enumerate() {
-                    let joined = old[i].join(*nv);
+                for (i, v) in self.priv_vars[p].iter().enumerate() {
+                    let joined = old[i].join(fr[v.0]);
                     if joined != old[i] {
                         old[i] = if widen {
                             self.widenings += 1;
-                            let ty = self.net.ty_of(self.priv_vars[p][i]);
+                            let ty = self.net.ty_of(*v);
                             old[i]
                                 .widen(joined)
                                 .meet(AbsVal::of_type(ty))
@@ -579,34 +819,34 @@ impl<'n> Engine<'n> {
             }
         }
         if grew {
-            self.changed = true;
+            self.deps.loc[p][to] = self.touch();
             self.env_joins[p][to] += 1;
             // Keep the store an upper bound of every location env, so
             // cross-process reads of private variables stay sound.
-            let env: Vec<AbsVal> = self.envs[p][to].as_ref().expect("just set").clone();
-            for (i, v) in self.priv_vars[p].clone().into_iter().enumerate() {
-                self.join_store_raw(v, env[i]);
+            for i in 0..self.priv_vars[p].len() {
+                let val = self.envs[p][to].as_ref().expect("just set")[i];
+                self.join_store_raw(self.priv_vars[p][i], val);
             }
         }
     }
 
     /// Joins a residence zone into `(p, to)`, widening (grown entries
     /// jump to ∞) once the per-location join budget is spent.
-    fn join_zone(&mut self, p: usize, to: usize, w: Dbm) {
+    fn join_zone(&mut self, p: usize, to: usize, w: &Dbm) {
         match &mut self.zones[p][to] {
             slot @ None => {
-                *slot = Some(w);
+                *slot = Some(w.clone());
                 self.zone_joins[p][to] = 1;
-                self.changed = true;
+                self.deps.loc[p][to] = self.touch();
             }
             Some(old) => {
                 let widen = self.zone_joins[p][to] >= WIDEN_AFTER;
-                if old.join_widen(&w, widen) {
+                if old.join_widen(w, widen) {
                     if widen {
                         self.widenings += 1;
                     }
                     self.zone_joins[p][to] += 1;
-                    self.changed = true;
+                    self.deps.loc[p][to] = self.touch();
                 }
             }
         }
@@ -633,7 +873,7 @@ impl<'n> Engine<'n> {
                 joined
             };
             self.store_joins[v.0] += 1;
-            self.changed = true;
+            self.deps.var[v.0] = self.touch();
         }
     }
 
@@ -649,46 +889,64 @@ impl<'n> Engine<'n> {
         let mut int_sat: Vec<Vec<bool>> = Vec::with_capacity(nprocs);
         let mut zone_sat: Vec<Vec<bool>> = Vec::with_capacity(nprocs);
         let mut trans_min_time: Vec<Vec<Option<f64>>> = Vec::with_capacity(nprocs);
+        // Canonical residence zone per reachable `[proc][loc]`.
+        let residences: Vec<Vec<Option<Dbm>>> = (0..nprocs)
+            .map(|p| {
+                (0..self.reachable[p].len())
+                    .map(|l| if self.reachable[p][l] { self.residence_at(p, l) } else { None })
+                    .collect()
+            })
+            .collect();
+        // Effects that provably always error, flagged on satisfiable
+        // transitions and kept below for the live ones.
+        let mut doomed_candidates: Vec<(ProcId, TransId, usize)> = Vec::new();
+        let mut fr = Vec::with_capacity(self.store.len());
+        let mut zg = Dbm::unconstrained(0);
         for (p, a) in self.net.automata().iter().enumerate() {
             let tidx = self.zclocks[p].len() + 1;
             let mut si = Vec::with_capacity(a.transitions.len());
             let mut sz = Vec::with_capacity(a.transitions.len());
             let mut mt = Vec::with_capacity(a.transitions.len());
-            for trans in &a.transitions {
-                let reach = self.reachable[p][trans.from.0];
+            for (t, trans) in a.transitions.iter().enumerate() {
+                let from = trans.from.0;
+                let reach = self.reachable[p][from];
+                if reach {
+                    self.frame_into(p, from, &mut fr);
+                }
                 let ok = reach
                     && match &trans.guard {
                         GuardKind::Markovian(_) => true,
-                        GuardKind::Boolean(g) => {
-                            let mut fr = self.frame(p, trans.from.0);
-                            refine(g, true, &mut fr)
-                        }
+                        GuardKind::Boolean(g) => refine(g, true, &mut fr),
                     };
                 // Zone verdict only matters where the interval side says
                 // "live"; it also yields the earliest global time the
                 // transition can fire (lower bound on T in the met zone).
-                let (zok, zmin) = if !ok {
-                    (true, None)
-                } else {
-                    match self.residence_at(p, trans.from.0) {
-                        None => (true, None),
-                        Some(res) => match &trans.guard {
-                            GuardKind::Markovian(_) => (true, Some(res.lower(tidx).max(0.0))),
-                            GuardKind::Boolean(g) => {
-                                let mut fr = self.frame(p, trans.from.0);
-                                refine(g, true, &mut fr);
-                                let mut zg = res;
-                                let ctx = ZoneCtx { zidx: &self.zidx[p], read: &|v| fr[v.0] };
-                                constrain_expr(&mut zg, &ctx, g, true);
-                                if zg.close() {
-                                    (true, Some(zg.lower(tidx).max(0.0)))
-                                } else {
-                                    (false, None)
-                                }
-                            }
-                        },
+                let (zok, zmin) = match (&residences[p][from], &trans.guard) {
+                    _ if !ok => (true, None),
+                    (None, _) => (true, None),
+                    (Some(res), GuardKind::Markovian(_)) => (true, Some(time_lower(res, tidx))),
+                    (Some(res), GuardKind::Boolean(g)) => {
+                        zg.clone_from(res);
+                        let ctx = ZoneCtx { zidx: &self.zidx[p], read: &|v| fr[v.0] };
+                        constrain_expr(&mut zg, &ctx, g, true);
+                        if zg.close() {
+                            (true, Some(time_lower(&zg, tidx)))
+                        } else {
+                            (false, None)
+                        }
                     }
                 };
+                if ok && zok {
+                    for (i, eff) in trans.effects.iter().enumerate() {
+                        if self.timed[eff.var.0] {
+                            continue;
+                        }
+                        let val = abs_eval(&eff.expr, &|v| fr[v.0]);
+                        if val.meet(AbsVal::of_type(self.net.ty_of(eff.var))).is_none() {
+                            doomed_candidates.push((ProcId(p), TransId(t), i));
+                        }
+                    }
+                }
                 si.push(ok);
                 sz.push(zok);
                 mt.push(zmin);
@@ -703,7 +961,6 @@ impl<'n> Engine<'n> {
             .map(|(a, b)| a.iter().zip(b.iter()).map(|(x, y)| *x && *y).collect())
             .collect();
         self.live = sat.clone();
-        let mut doomed_effects = Vec::new();
         for (p, a) in self.net.automata().iter().enumerate() {
             let mut st = Vec::with_capacity(a.transitions.len());
             for (t, trans) in a.transitions.iter().enumerate() {
@@ -714,26 +971,16 @@ impl<'n> Engine<'n> {
                 } else if !trans.action.is_tau() && !self.action_available(trans.action) {
                     TransStatus::SyncBlocked
                 } else {
-                    // Live: flag effects that provably always error.
-                    let mut fr = self.frame(p, trans.from.0);
-                    if let GuardKind::Boolean(g) = &trans.guard {
-                        refine(g, true, &mut fr);
-                    }
-                    for (i, eff) in trans.effects.iter().enumerate() {
-                        if self.timed[eff.var.0] {
-                            continue;
-                        }
-                        let val = abs_eval(&eff.expr, &|v| fr[v.0]);
-                        if val.meet(AbsVal::of_type(self.net.ty_of(eff.var))).is_none() {
-                            doomed_effects.push((ProcId(p), TransId(t), i));
-                        }
-                    }
                     TransStatus::Live
                 };
                 st.push(s);
             }
             status.push(st);
         }
+        let doomed_effects: Vec<(ProcId, TransId, usize)> = doomed_candidates
+            .into_iter()
+            .filter(|(p, t, _)| status[p.0][t.0] == TransStatus::Live)
+            .collect();
         // Zone-only deadness (reachable, interval-live, zone-empty), the
         // per-location minimum elapsed time, and static timelocks: a
         // bounded-residence location where every exit is dead and at
@@ -751,17 +998,9 @@ impl<'n> Engine<'n> {
         for (p, a) in self.net.automata().iter().enumerate() {
             let tidx = self.zclocks[p].len() + 1;
             let mut mt = Vec::with_capacity(a.locations.len());
-            for l in 0..a.locations.len() {
-                let res = if self.reachable[p][l] { self.residence_at(p, l) } else { None };
-                mt.push(res.as_ref().map(|z| z.lower(tidx).max(0.0)));
+            for (l, (res, outgoing)) in residences[p].iter().zip(&self.out[p]).enumerate() {
+                mt.push(res.as_ref().map(|z| time_lower(z, tidx)));
                 let Some(res) = res else { continue };
-                let outgoing: Vec<usize> = a
-                    .transitions
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, tr)| tr.from.0 == l)
-                    .map(|(t, _)| t)
-                    .collect();
                 if outgoing.is_empty()
                     || !outgoing.iter().all(|&t| !sat[p][t])
                     || !outgoing.iter().any(|&t| zone_dead[p][t])
@@ -795,21 +1034,34 @@ impl<'n> Engine<'n> {
     }
 }
 
-/// The residence closure of a canonical, invariant-satisfying entry zone:
-/// elapse time, re-intersect the invariant, close, extrapolate. The entry
-/// zone itself is the (sound) fallback should closure ever fail — it
-/// cannot for a convex invariant, since the entry zone is a subset.
-fn residence_zone(entry: Dbm, inv: &Expr, ctx: &ZoneCtx<'_>, k: f64) -> Dbm {
-    let mut w = entry.clone();
+/// Lower bound on the global-time clock `tidx` in `z`, floored at zero.
+/// The floor is always `+0.0`: `f64::max` may return either zero for
+/// `max(-0.0, 0.0)`, which made the published bound depend on how the
+/// call was compiled.
+fn time_lower(z: &Dbm, tidx: usize) -> f64 {
+    let lo = z.lower(tidx);
+    if lo > 0.0 {
+        lo
+    } else {
+        0.0
+    }
+}
+
+/// The residence closure of a canonical, invariant-satisfying entry zone
+/// into `w`: elapse time, re-intersect the invariant, close, extrapolate.
+/// The entry zone itself is the (sound) fallback should closure ever
+/// fail — it cannot for a convex invariant, since the entry zone is a
+/// subset.
+fn residence_zone(entry: &Dbm, inv: &Expr, ctx: &ZoneCtx<'_>, k: f64, w: &mut Dbm) {
+    w.clone_from(entry);
     w.up();
     if !inv.is_const_true() {
-        constrain_expr(&mut w, ctx, inv, true);
+        constrain_expr(w, ctx, inv, true);
     }
     if !w.close() {
-        w = entry;
+        w.clone_from(entry);
     }
     w.extrapolate(k);
-    w
 }
 
 impl Fixpoint {
@@ -1513,5 +1765,110 @@ mod tests {
         let json = s.render_json();
         assert!(json.contains("\"steps_to_goal\":1"), "{json}");
         assert!(json.contains("\"min_time\":5.0"), "{json}");
+    }
+
+    /// A flow reading a store variable is re-evaluated from every
+    /// location once the variable changes, even where nothing else reads
+    /// it: here only widening (after nine one-shot writers) moves `x` past
+    /// 50, and no writer re-reads `x`, so only the observer's self-loop can
+    /// re-derive `high := x >= 50` from the widened store.
+    #[test]
+    fn flows_are_re_evaluated_after_their_inputs_widen() {
+        let mut b = NetworkBuilder::new();
+        let x = b.var("x", VarType::Int { lo: 0, hi: 100 }, Value::Int(0));
+        let high = b.var("high", VarType::Bool, Value::Bool(false));
+        b.flow(high, Expr::var(x).ge(Expr::int(50)));
+        let mut observer = AutomatonBuilder::new("observer");
+        let o = observer.location("o");
+        observer.guarded(o, ActionId::TAU, Expr::TRUE, [], o);
+        b.add_automaton(observer);
+        for k in 1..=9 {
+            let mut w = AutomatonBuilder::new(format!("w{k}"));
+            let (w0, w1) = (w.location("w0"), w.location("w1"));
+            w.guarded(w0, ActionId::TAU, Expr::TRUE, [Effect::assign(x, Expr::int(k))], w1);
+            b.add_automaton(w);
+        }
+        let net = b.build().unwrap();
+        let fix = analyze_network(&net);
+        assert_eq!(fix.global(x), AbsVal::Num(0.0, 100.0), "x widened to its type range");
+        assert_eq!(fix.may_expr(&Expr::var(high)), None, "`high` may become true");
+    }
+
+    /// Engine runs on this thread so far.
+    fn engine_runs() -> usize {
+        ENGINE_RUNS.get()
+    }
+
+    fn with_deadline(deadline: f64) -> AnalysisOptions {
+        AnalysisOptions { zones: true, deadline: Some(deadline) }
+    }
+
+    #[test]
+    fn lint_then_pre_verdict_within_k_runs_the_engine_once() {
+        let net = clock_chain(); // largest literal 5
+        assert_eq!(extrapolation_k(&net, None), 5.0);
+        let before = engine_runs();
+        let lint = analyze_network(&net);
+        let pre = analyze_network_with(&net, &with_deadline(4.0));
+        assert_eq!(engine_runs() - before, 1, "the pre-verdict reuses the lint fixpoint");
+        assert_eq!(format!("{lint:?}"), format!("{pre:?}"));
+    }
+
+    #[test]
+    fn a_deadline_above_k_runs_the_engine_again() {
+        let net = clock_chain();
+        let before = engine_runs();
+        let lint = analyze_network(&net);
+        let pre = analyze_network_with(&net, &with_deadline(12.0));
+        assert_eq!(engine_runs() - before, 2);
+        assert_eq!(lint.extrapolation_k(), 5.0);
+        assert_eq!(pre.extrapolation_k(), 12.0);
+        // The same larger deadline again is a hit.
+        analyze_network_with(&net, &with_deadline(12.0));
+        assert_eq!(engine_runs() - before, 2);
+    }
+
+    #[test]
+    fn zones_off_has_its_own_entry_and_ignores_k() {
+        let net = clock_chain();
+        let before = engine_runs();
+        analyze_network(&net);
+        let off = AnalysisOptions { zones: false, deadline: None };
+        let fix = analyze_network_with(&net, &off);
+        assert_eq!(engine_runs() - before, 2);
+        assert!(!fix.zones_enabled());
+        // Without zones the deadline cannot change the result.
+        analyze_network_with(&net, &AnalysisOptions { zones: false, deadline: Some(100.0) });
+        assert_eq!(engine_runs() - before, 2);
+    }
+
+    #[test]
+    fn a_pruned_or_reassembled_network_misses_and_a_clone_hits() {
+        let net = clock_chain();
+        let before = engine_runs();
+        let fix = analyze_network(&net);
+        let (pruned, _) = net.prune(&fix.prune_plan(&net));
+        analyze_network(&pruned);
+        assert_eq!(engine_runs() - before, 2, "pruning assembles a new network");
+        // An equal model assembled separately is a different network.
+        let twin = clock_chain();
+        assert_eq!(twin, net);
+        analyze_network(&twin);
+        assert_eq!(engine_runs() - before, 3);
+        let copy = twin.clone();
+        assert_eq!(copy.uid(), twin.uid());
+        analyze_network(&copy);
+        assert_eq!(engine_runs() - before, 3, "a clone shares its original's identity");
+    }
+
+    #[test]
+    fn a_memo_hit_equals_a_fresh_run() {
+        let net = clock_chain();
+        let opts = with_deadline(3.0);
+        let first = analyze_network_with(&net, &opts);
+        let hit = analyze_network_with(&net, &opts);
+        let fresh = Engine::new(&net, true, extrapolation_k(&net, Some(3.0))).run();
+        assert_eq!(format!("{hit:?}"), format!("{fresh:?}"));
+        assert_eq!(format!("{first:?}"), format!("{fresh:?}"));
     }
 }

@@ -33,10 +33,23 @@ use slim_automata::expr::{BinOp, Expr, VarId};
 /// A difference-bound matrix over `dim` clocks (index 0 is the zero
 /// clock). Entry `(i, j)` bounds `x_i − x_j` from above; `f64::INFINITY`
 /// means unconstrained.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Dbm {
     dim: usize,
     m: Vec<f64>,
+}
+
+impl Clone for Dbm {
+    fn clone(&self) -> Dbm {
+        Dbm { dim: self.dim, m: self.m.clone() }
+    }
+
+    /// Reuses `self`'s matrix buffer (the fixpoint's per-transition
+    /// zones copy into scratch buffers this way).
+    fn clone_from(&mut self, source: &Dbm) {
+        self.dim = source.dim;
+        self.m.clone_from(&source.m);
+    }
 }
 
 /// Bound addition with absorbing ∞ (avoids `∞ + −∞ = NaN`; widening the

@@ -3287,11 +3287,14 @@ fn advance_unchecked_mut<P: ProfileHooks>(
     prof: &mut P,
 ) -> Result<(), EvalError> {
     let mut moved = false;
-    for (i, r) in rates.iter().enumerate() {
-        if *r != 0.0 {
-            let cur = state.nu.get(VarId(i))?.as_real()?;
-            state.nu.set(VarId(i), Value::Real(cur + r * d))?;
-            moved = true;
+    // A rate-free model's buffer is all zero: nothing to scan.
+    if t.has_rates {
+        for (i, r) in rates.iter().enumerate() {
+            if *r != 0.0 {
+                let cur = state.nu.get(VarId(i))?.as_real()?;
+                state.nu.set(VarId(i), Value::Real(cur + r * d))?;
+                moved = true;
+            }
         }
     }
     state.time += d;

@@ -22,6 +22,7 @@ use crate::linear::{solve, DelayEnv};
 use crate::state::NetState;
 use crate::validate::validate_network;
 use crate::value::{Value, VarType};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An entry of the network's action table.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,8 +83,29 @@ pub struct MarkovianCandidate {
 /// [`Network::delay_window`]).
 pub const INVARIANT_TOLERANCE: f64 = 1e-9;
 
+/// Identity of an assembled [`Network`], for memoizing derived facts.
+///
+/// Every assembly ([`NetworkBuilder::assemble_for_validation`], which
+/// [`NetworkBuilder::build`] calls, and [`Network::prune`]) draws a fresh
+/// id; [`Clone`] carries it over. Since a `Network` has no mutating API —
+/// its fields are crate-private and only builders take `&mut` — two
+/// networks with the same id are clones of one assembly and therefore
+/// equal, so any pure function of a network may be cached under its id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NetUid(u64);
+
+impl NetUid {
+    fn fresh() -> NetUid {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        NetUid(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
 /// A validated network of event-data automata.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `PartialEq` and `Debug` compare and show the model only, not its
+/// [`NetUid`]: a clone and a fresh assembly of the same model are equal.
+#[derive(Clone)]
 pub struct Network {
     pub(crate) actions: Vec<ActionDecl>,
     pub(crate) vars: Vec<VarDecl>,
@@ -91,9 +113,37 @@ pub struct Network {
     pub(crate) flows: Vec<Flow>,
     /// Participants per action (automata whose alphabet contains it).
     pub(crate) participants: Vec<Vec<ProcId>>,
+    uid: NetUid,
+}
+
+impl PartialEq for Network {
+    fn eq(&self, other: &Network) -> bool {
+        self.actions == other.actions
+            && self.vars == other.vars
+            && self.automata == other.automata
+            && self.flows == other.flows
+            && self.participants == other.participants
+    }
+}
+
+impl std::fmt::Debug for Network {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Network")
+            .field("actions", &self.actions)
+            .field("vars", &self.vars)
+            .field("automata", &self.automata)
+            .field("flows", &self.flows)
+            .field("participants", &self.participants)
+            .finish()
+    }
 }
 
 impl Network {
+    /// This network's identity (see [`NetUid`]).
+    pub fn uid(&self) -> NetUid {
+        self.uid
+    }
+
     /// The action table (index 0 is τ).
     pub fn actions(&self) -> &[ActionDecl] {
         &self.actions
@@ -778,6 +828,7 @@ impl Network {
             automata,
             flows: self.flows.clone(),
             participants,
+            uid: NetUid::fresh(),
         };
         debug_assert!(
             validate_network(&net).is_ok(),
@@ -913,7 +964,7 @@ impl NetworkBuilder {
             }
         }
 
-        Ok(Network { actions, vars, automata, flows, participants })
+        Ok(Network { actions, vars, automata, flows, participants, uid: NetUid::fresh() })
     }
 }
 
@@ -942,6 +993,23 @@ mod tests {
         b.add_automaton(a2);
 
         b.build().unwrap()
+    }
+
+    #[test]
+    fn uid_follows_assembly_not_content() {
+        let a = sync_network();
+        let b = sync_network();
+        assert_eq!(a, b);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_ne!(a.uid(), b.uid(), "each assembly draws a fresh id");
+        assert_eq!(a.clone().uid(), a.uid());
+        let keep_all = PrunePlan {
+            drop_trans: a.automata.iter().map(|x| vec![false; x.transitions.len()]).collect(),
+            drop_locs: a.automata.iter().map(|x| vec![false; x.locations.len()]).collect(),
+        };
+        let (pruned, _) = a.prune(&keep_all);
+        assert_eq!(pruned, a);
+        assert_ne!(pruned.uid(), a.uid());
     }
 
     #[test]

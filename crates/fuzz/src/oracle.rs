@@ -612,7 +612,8 @@ fn batch_equivalence(
 /// (reference tables never cache): the default kernel and the reference
 /// kernel must produce bit-identical per-path outcomes — verdict, step
 /// count, end time — or the *same* error, for the same `(seed, index)`
-/// stream.
+/// stream. Path `i` runs strategy `ALL_EXTENDED[i % 5]`, so ASAP,
+/// Progressive, Local, MaxTime and transition-first are all compared.
 fn fusion_equivalence(
     model: &GeneratedModel,
     net: &Network,
@@ -630,22 +631,23 @@ fn fusion_equivalence(
 
     let mut scratch = SimScratch::new();
     for i in 0..cfg.soundness_paths {
+        let kind = StrategyKind::ALL_EXTENDED[i as usize % StrategyKind::ALL_EXTENDED.len()];
         let mut rng = path_rng(sim_seed, i);
-        let mut strategy = StrategyKind::Asap.instantiate();
+        let mut strategy = kind.instantiate();
         let want = reference
             .generate_with(&mut scratch, strategy.as_mut(), &mut rng, &mut NoHooks)
             .map_err(|e| e.to_string());
 
         let mut rng = path_rng(sim_seed, i);
-        let mut strategy = StrategyKind::Asap.instantiate();
+        let mut strategy = kind.instantiate();
         let got = fused
             .generate_with(&mut scratch, strategy.as_mut(), &mut rng, &mut NoHooks)
             .map_err(|e| e.to_string());
 
         if got != want {
             return Err(format!(
-                "path {i} (seed {sim_seed}) diverged between the fused and reference \
-                 kernels: reference {want:?}, fused {got:?}"
+                "path {i} (seed {sim_seed}, strategy {kind:?}) diverged between the fused and \
+                 reference kernels: reference {want:?}, fused {got:?}"
             ));
         }
     }

@@ -45,12 +45,12 @@ impl Parser {
         self.peek().pos
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.at.min(self.tokens.len() - 1)].clone();
+    /// Steps past the current token (the trailing end-of-input token is
+    /// never passed).
+    fn bump(&mut self) {
         if self.at < self.tokens.len() - 1 {
             self.at += 1;
         }
-        t
     }
 
     fn error(&self, expected: impl Into<String>) -> LangError {
