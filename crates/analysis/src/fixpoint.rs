@@ -37,7 +37,7 @@ use slim_automata::automaton::{ActionId, GuardKind, LocId, ProcId, TransId};
 use slim_automata::expr::{BinOp, Expr, VarId};
 use slim_automata::network::{NetUid, Network, PrunePlan};
 use slim_automata::value::{Value, VarType};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 /// Joins tolerated per (process, location) env — and per store variable —
 /// before widening kicks in. Zone joins use the same threshold.
@@ -169,9 +169,31 @@ thread_local! {
 /// `deadline`: the largest magnitude among the deadline, every literal of
 /// the model's invariants, guards, effects and flows, and the initial
 /// values of the tracked clocks — and at least 1. The engine and the
-/// memo key of [`analyze_network_with`] both take `k` from here.
+/// memo key of [`analyze_network_with`] both take `k` from here. The
+/// deadline-free part is a pure function of the network, so it is
+/// memoized per thread under the network's [`NetUid`], like the fixpoint.
 fn extrapolation_k(net: &Network, deadline: Option<f64>) -> f64 {
-    let mut k = deadline.unwrap_or(0.0).abs();
+    let net_k = LAST_NET_K.with(|slot| match slot.get() {
+        Some((uid, k)) if uid == net.uid() => k,
+        _ => {
+            let k = network_k(net);
+            slot.set(Some((net.uid(), k)));
+            k
+        }
+    });
+    deadline.unwrap_or(0.0).abs().max(net_k)
+}
+
+thread_local! {
+    /// The deadline-free extrapolation constant of the last network seen
+    /// on this thread.
+    static LAST_NET_K: Cell<Option<(NetUid, f64)>> = const { Cell::new(None) };
+}
+
+/// [`extrapolation_k`] without the deadline. `max` keeps the larger of
+/// two magnitudes exactly, so splitting the deadline off is bit-identical.
+fn network_k(net: &Network) -> f64 {
+    let mut k = 0.0f64;
     for a in net.automata() {
         for l in &a.locations {
             k = k.max(max_literal(&l.invariant));
@@ -1870,5 +1892,30 @@ mod tests {
         let fresh = Engine::new(&net, true, extrapolation_k(&net, Some(3.0))).run();
         assert_eq!(format!("{hit:?}"), format!("{fresh:?}"));
         assert_eq!(format!("{first:?}"), format!("{fresh:?}"));
+    }
+
+    /// The memoized network part of `k` follows the network: alternating
+    /// two networks never hands one the other's constant, and every
+    /// deadline combines with it as the full walk would.
+    #[test]
+    fn extrapolation_k_memo_follows_the_network() {
+        let (chain, small) = (clock_chain(), {
+            let mut b = NetworkBuilder::new();
+            let c = b.var("c", VarType::Clock, Value::Real(0.0));
+            let mut a = AutomatonBuilder::new("a");
+            let l = a.location_with("l", Expr::var(c).le(Expr::real(0.25)), []);
+            a.guarded(l, ActionId::TAU, Expr::TRUE, [Effect::assign(c, Expr::real(0.0))], l);
+            b.add_automaton(a);
+            b.build().unwrap()
+        });
+        for _ in 0..2 {
+            for (net, own) in [(&chain, 5.0), (&small, 1.0)] {
+                assert_eq!(extrapolation_k(net, None), own);
+                assert_eq!(extrapolation_k(net, Some(-0.5)), own);
+                assert_eq!(extrapolation_k(net, Some(-9.0)), 9.0);
+                assert_eq!(extrapolation_k(net, Some(f64::NAN)), own);
+                assert_eq!(extrapolation_k(net, Some(f64::INFINITY)), f64::INFINITY);
+            }
+        }
     }
 }

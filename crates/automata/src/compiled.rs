@@ -38,6 +38,32 @@
 //! so nothing outside it ever reads the cache, and
 //! [`CompileOptions::reference`] tables never start one.
 //!
+//! Three refinements keep a step's work proportional to what changed:
+//!
+//! * **Scan only what may be enabled.** τ guard slots are contiguous per
+//!   (process, location), in transition order, and a per-path bitset
+//!   marks the slots whose truth is not known false; the scan visits only
+//!   its set bits, in ascending (candidate) order, and only processes
+//!   that have a τ guard.
+//! * **Witness eviction.** A [`GuardSpec::Conj`] guard found false
+//!   records the variable of its first false atom; a write keeps that
+//!   cached `false` unless it changes the witness. Sound because a
+//!   conjunction with a false atom stays false until that atom's variable
+//!   changes, and because a delay-free `var op const` atom cannot start
+//!   to error on a type-canonical state: it evaluated once without error,
+//!   and a variable's value kind never changes.
+//! * **Demand-driven flows.** Every value change is stamped with the
+//!   change clock, and a flow's last evaluation logs the variables it
+//!   read; `apply` re-runs a masked flow only if one of them changed
+//!   since. Sound because a value program is deterministic with forward
+//!   jumps only: equal values along the read path give the same result.
+//!   `advance` re-runs its mask and forgets those read sets (its boundary
+//!   retreat restores values behind the log). A delay-free goal or hold
+//!   predicate keeps its last truth under the same rule.
+//!
+//! Records older than the running sequence read as unknown, so starting a
+//! sequence is O(1) however many slots, variables and flows there are.
+//!
 //! One caveat: `=`/`!=` between Boolean and numeric operands is dispatched
 //! at *compile* time from declared variable types, where the legacy solver
 //! inspects runtime values. The two agree on every type-canonical state
@@ -55,6 +81,7 @@ use crate::network::{Network, INVARIANT_TOLERANCE};
 use crate::state::NetState;
 use crate::value::{Value, VarType};
 use slim_obs::profile::{NoopProfile, ProfileHooks, ProfileLabels, ProfileShape};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 // ---------------------------------------------------------------------------
 // Bytecode
@@ -339,6 +366,9 @@ struct CompiledFlow {
     /// closure in [`flow_mask_from`] walks.
     reads: Vec<VarId>,
     prog: EvalProg,
+    /// Where the per-path log keeps the read set of this flow's last
+    /// evaluation: at most `reads.len()` entries from `read_at`.
+    read_at: u32,
 }
 
 /// Precomputed stepping tables of a [`Network`] — build once with
@@ -348,8 +378,11 @@ struct CompiledFlow {
 /// behind a reference.
 #[derive(Debug, Clone)]
 pub struct StepTables {
-    /// τ-labeled Boolean transitions, `[proc][loc]`.
+    /// τ-labeled Boolean transitions, `[proc][loc]`. Their cache slots
+    /// are contiguous per location, in transition order.
     tau: Vec<Vec<Vec<CompiledGuarded>>>,
+    /// Processes with at least one τ guard, ascending.
+    tau_procs: Vec<usize>,
     /// Markovian transitions `(id, rate)`, `[proc][loc]`.
     markov: Vec<Vec<Vec<(TransId, f64)>>>,
     /// Sync skeletons in ascending action order (τ and participant-less
@@ -378,6 +411,8 @@ pub struct StepTables {
     advance_flow_mask: u64,
     /// Number of enabledness-cache slots (guarded transitions).
     n_guard_slots: usize,
+    /// Length of the per-path flow read log (see [`CompiledFlow::read_at`]).
+    n_flow_reads: usize,
     /// Readers index of the enabledness cache, in CSR form: the slots of
     /// the delay-free guards reading variable `v` are
     /// `guard_readers[reader_at[v]..reader_at[v + 1]]`.
@@ -903,10 +938,12 @@ struct ComboBuf {
     urgent: bool,
 }
 
-/// Enabledness-cache slot value: the guard's truth is not known.
-const UNKNOWN: u8 = 0;
-const FALSE: u8 = 1;
-const TRUE: u8 = 2;
+/// Cached guard truths, in the low two bits of a slot record whose other
+/// bits hold the change-clock value it was recorded at.
+const FALSE: u64 = 1;
+const TRUE: u64 = 2;
+/// Witness of a cached `false` that any read variable's change evicts.
+const NO_WITNESS: u32 = u32::MAX;
 
 /// Per-path state of an incremental stepping sequence (see the module
 /// docs and [`Network::stepping_begin`]).
@@ -914,9 +951,32 @@ const TRUE: u8 = 2;
 struct EnabledCache {
     /// A stepping sequence is running; nothing below is read otherwise.
     active: bool,
-    /// Per guard slot: [`UNKNOWN`], [`FALSE`] or [`TRUE`] — the truth of
-    /// a delay-free guard at the sequence's current valuation.
-    truth: Vec<u8>,
+    /// The change clock: advanced when a sequence begins and before every
+    /// `apply` or `advance` that writes.
+    now: u64,
+    /// `now` when the running sequence began. Records stamped earlier
+    /// belong to an earlier sequence and read as unknown.
+    begun: u64,
+    /// Per guard slot: `stamp << 2 | FALSE/TRUE`, the truth of a
+    /// delay-free guard at the sequence's current valuation.
+    truth: Vec<u64>,
+    /// Per guard slot cached `false`: the variable of its conjunction's
+    /// first false atom, or [`NO_WITNESS`].
+    witness: Vec<u32>,
+    /// One bit per guard slot: its truth is not known to be `false`.
+    /// Word `w` reads all-ones unless `maybe_at[w] >= begun`.
+    maybe: Vec<u64>,
+    maybe_at: Vec<u64>,
+    /// Per variable: the change-clock value of its last value change.
+    changed: Vec<u64>,
+    /// Per flow: the change-clock value of its last recorded evaluation
+    /// (older than `begun`: no read set), and how many reads that
+    /// evaluation logged into `reads` at [`CompiledFlow::read_at`].
+    flow_at: Vec<u64>,
+    flow_reads: Vec<u32>,
+    reads: Vec<VarId>,
+    /// Delay-free predicate memos: `(predicate id, stamp, truth)`.
+    preds: Vec<(u64, u64, bool)>,
     /// The scratch Markovian list is the current state's, except for the
     /// processes listed in `moved`.
     markov_valid: bool,
@@ -928,16 +988,74 @@ struct EnabledCache {
     rates_dirty: bool,
 }
 
+/// Grows `v` to at least `n` entries; never shrinks, so reuse is free.
+fn grow<T: Clone>(v: &mut Vec<T>, n: usize, fill: T) {
+    if v.len() < n {
+        v.resize(n, fill);
+    }
+}
+
 impl EnabledCache {
+    /// Starts a sequence on `t`'s tables: O(1) beyond growing buffers
+    /// to a new high-water mark, since older records read as unknown.
+    fn begin(&mut self, t: &StepTables) {
+        self.active = t.incremental;
+        self.now += 1;
+        self.begun = self.now;
+        let words = t.n_guard_slots.div_ceil(64);
+        grow(&mut self.truth, t.n_guard_slots, 0);
+        grow(&mut self.witness, t.n_guard_slots, NO_WITNESS);
+        grow(&mut self.maybe, words, 0);
+        grow(&mut self.maybe_at, words, 0);
+        grow(&mut self.changed, t.base_rates.len(), 0);
+        grow(&mut self.flow_at, t.flows.len(), 0);
+        grow(&mut self.flow_reads, t.flows.len(), 0);
+        grow(&mut self.reads, t.n_flow_reads, VarId(0));
+        if self.preds.len() > 8 {
+            // Memos of predicates from earlier sequences; keep the list short.
+            self.preds.clear();
+        }
+        self.markov_valid = false;
+        self.moved.clear();
+        self.rates_dirty = false;
+    }
+
+    /// Word `w` of the possibly-enabled bitset, reset to all-ones first
+    /// when an earlier sequence left it.
+    #[inline]
+    fn maybe_word(&mut self, w: usize) -> &mut u64 {
+        if self.maybe_at[w] < self.begun {
+            self.maybe_at[w] = self.begun;
+            self.maybe[w] = !0;
+        }
+        &mut self.maybe[w]
+    }
+
     /// Accounts for writing `new` over `old` into `var`: a changed value
-    /// (bitwise) forgets the cached truth of every guard reading `var`.
+    /// (bitwise) is stamped, and forgets the cached truth of every guard
+    /// reading `var` — except a `false` whose witness is another variable.
     #[inline]
     fn note_write(&mut self, t: &StepTables, var: VarId, old: Value, new: Value) {
-        if self.active && !old.same_bits(new) {
-            let (lo, hi) = (t.reader_at[var.0] as usize, t.reader_at[var.0 + 1] as usize);
-            for &slot in &t.guard_readers[lo..hi] {
-                self.truth[slot as usize] = UNKNOWN;
+        if !self.active || old.same_bits(new) {
+            return;
+        }
+        self.changed[var.0] = self.now;
+        let (lo, hi) = (t.reader_at[var.0] as usize, t.reader_at[var.0 + 1] as usize);
+        for &slot in &t.guard_readers[lo..hi] {
+            let slot = slot as usize;
+            let rec = self.truth[slot];
+            if rec >> 2 < self.begun {
+                continue;
             }
+            if rec & 3 == FALSE {
+                let w = self.witness[slot];
+                if w != NO_WITNESS && w as usize != var.0 {
+                    continue;
+                }
+                // A stale word needs no bit: it reads all-ones anyway.
+                self.maybe[slot / 64] |= 1 << (slot % 64);
+            }
+            self.truth[slot] = 0;
         }
     }
 
@@ -955,15 +1073,56 @@ impl EnabledCache {
         prof: &mut P,
     ) -> Result<bool, EvalError> {
         let slot = cg.slot as usize;
-        if self.active && self.truth[slot] != UNKNOWN {
-            return Ok(self.truth[slot] == TRUE);
+        if self.active && self.truth[slot] >> 2 >= self.begun {
+            return Ok(self.truth[slot] & 3 == TRUE);
         }
         let enabled = delay_free_truth(prog, nu, sv, prof)?;
         prof.guard_eval(p, cg.trans.0, enabled);
         if self.active {
-            self.truth[slot] = if enabled { TRUE } else { FALSE };
+            self.truth[slot] = self.now << 2 | if enabled { TRUE } else { FALSE };
+            if !enabled {
+                self.witness[slot] = conj_witness(prog, nu);
+                *self.maybe_word(slot / 64) &= !(1 << (slot % 64));
+            }
         }
         Ok(enabled)
+    }
+
+    /// The truth of the delay-free predicate `pred` (program `prog`)
+    /// inside a running sequence: its memo when no variable it reads has
+    /// changed since, otherwise evaluated and memoized.
+    fn predicate_truth<P: ProfileHooks>(
+        &mut self,
+        pred: &CompiledPredicate,
+        prog: &SolveProg,
+        nu: &Valuation,
+        sv: &mut SolveScratch,
+        prof: &mut P,
+    ) -> Result<bool, EvalError> {
+        let i = self.preds.iter().position(|m| m.0 == pred.id).unwrap_or_else(|| {
+            self.preds.push((pred.id, 0, false));
+            self.preds.len() - 1
+        });
+        let (_, at, truth) = self.preds[i];
+        if at >= self.begun && pred.reads.iter().all(|v| self.changed[v.0] <= at) {
+            return Ok(truth);
+        }
+        let truth = delay_free_truth(prog, nu, sv, prof)?;
+        self.preds[i] = (pred.id, self.now, truth);
+        Ok(truth)
+    }
+
+    /// Inside a running sequence: flow `i` (`f`) holds what a re-run
+    /// would compute, because no variable its last evaluation read has
+    /// changed since.
+    #[inline]
+    fn flow_current(&self, f: &CompiledFlow, i: usize) -> bool {
+        let at = self.flow_at[i];
+        let lo = f.read_at as usize;
+        at >= self.begun
+            && self.reads[lo..lo + self.flow_reads[i] as usize]
+                .iter()
+                .all(|v| self.changed[v.0] <= at)
     }
 }
 
@@ -982,13 +1141,33 @@ fn set_noted(
     Ok(())
 }
 
+/// Evaluates the local guard `cg` of process `p`: `None` when disabled,
+/// `Some(true)` when enabled at every delay (a delay-free guard), and
+/// `Some(false)` with its window left in `s.guard_result` otherwise.
+/// Records one guard evaluation unless a cached truth served it.
+fn local_guard<P: ProfileHooks>(
+    s: &mut StepScratch,
+    cg: &CompiledGuarded,
+    p: usize,
+    nu: &Valuation,
+    prof: &mut P,
+) -> Result<Option<bool>, EvalError> {
+    if let GuardCode::DelayFree(prog) = &cg.guard {
+        return Ok(s.cache.truth_of(cg, prog, p, nu, &mut s.solver, prof)?.then_some(true));
+    }
+    eval_guard(&cg.guard, nu, &s.rates, &mut s.solver, &mut s.guard_result, prof)?;
+    let enabled = !s.guard_result.is_empty();
+    prof.guard_eval(p, cg.trans.0, enabled);
+    Ok(enabled.then_some(false))
+}
+
 /// Reusable per-worker workspace for the compiled kernel.
 ///
 /// All buffers grow to a high-water mark during the first few steps and
 /// are reused afterwards; in steady state no method taking a
 /// `&mut StepScratch` allocates (except guards compiled to
 /// [`GuardCode::Fallback`], which are rare and documented).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct StepScratch {
     rates: Vec<f64>,
     /// `rates` is the all-zero buffer of a rate-free model.
@@ -1016,37 +1195,10 @@ pub struct StepScratch {
     cache: EnabledCache,
 }
 
-impl Default for StepScratch {
-    fn default() -> StepScratch {
-        StepScratch::new()
-    }
-}
-
 impl StepScratch {
     /// Creates an empty workspace; buffers size themselves on first use.
     pub fn new() -> StepScratch {
-        StepScratch {
-            rates: Vec::new(),
-            rates_zero: false,
-            solver: SolveScratch::default(),
-            vals: Vec::new(),
-            guard_result: IntervalSet::empty(),
-            temp_w: IntervalSet::empty(),
-            cands: Vec::new(),
-            n_cands: 0,
-            opts: Vec::new(),
-            n_opts: 0,
-            opt_ranges: Vec::new(),
-            combo_a: Vec::new(),
-            n_combo_a: 0,
-            combo_b: Vec::new(),
-            n_combo_b: 0,
-            markov: Vec::new(),
-            writes: Vec::new(),
-            backup: NetState::new(Vec::new(), Valuation::new(Vec::new())),
-            inv_check: IntervalSet::empty(),
-            cache: EnabledCache::default(),
-        }
+        StepScratch::default()
     }
 
     /// Candidates produced by the last
@@ -1063,26 +1215,10 @@ impl StepScratch {
     }
 }
 
-/// Acquires the next candidate slot, reusing retired buffers.
-fn next_cand<'a>(pool: &'a mut Vec<CandidateBuf>, used: &mut usize) -> &'a mut CandidateBuf {
+/// Acquires the next slot of a pool, reusing retired buffers.
+fn next_slot<'a, T: Default>(pool: &'a mut Vec<T>, used: &mut usize) -> &'a mut T {
     if *used == pool.len() {
-        pool.push(CandidateBuf::default());
-    }
-    *used += 1;
-    &mut pool[*used - 1]
-}
-
-fn next_opt<'a>(pool: &'a mut Vec<OptBuf>, used: &mut usize) -> &'a mut OptBuf {
-    if *used == pool.len() {
-        pool.push(OptBuf::default());
-    }
-    *used += 1;
-    &mut pool[*used - 1]
-}
-
-fn next_combo<'a>(pool: &'a mut Vec<ComboBuf>, used: &mut usize) -> &'a mut ComboBuf {
-    if *used == pool.len() {
-        pool.push(ComboBuf::default());
+        pool.push(T::default());
     }
     *used += 1;
     &mut pool[*used - 1]
@@ -1757,13 +1893,17 @@ impl Network {
                             trans: TransId(i),
                             guard: guard(g),
                             urgent: t.urgent,
-                            slot: n_guard_slots,
+                            slot: 0,
                         });
-                        n_guard_slots += 1;
                     }
                     GuardKind::Markovian(rate) => a_markov[t.from.0].push((TransId(i), *rate)),
                     GuardKind::Boolean(_) => {}
                 }
+            }
+            // Slots contiguous per location, in candidate order.
+            for cg in a_tau.iter_mut().flatten() {
+                cg.slot = n_guard_slots;
+                n_guard_slots += 1;
             }
             tau.push(a_tau);
             markov.push(a_markov);
@@ -1834,15 +1974,22 @@ impl Network {
             sync.push(SyncTable { action, parts });
         }
 
+        let mut n_flow_reads = 0;
         let flows: Vec<CompiledFlow> = self
             .flows()
             .iter()
-            .map(|f| CompiledFlow {
-                target: f.target,
-                ty: self.ty_of(f.target),
-                name: self.name_of(f.target).to_string(),
-                reads: f.expr.vars(),
-                prog: compile_prog(&f.expr, optimize),
+            .map(|f| {
+                let reads = f.expr.vars();
+                let read_at = n_flow_reads as u32;
+                n_flow_reads += reads.len();
+                CompiledFlow {
+                    target: f.target,
+                    ty: self.ty_of(f.target),
+                    name: self.name_of(f.target).to_string(),
+                    reads,
+                    prog: compile_prog(&f.expr, optimize),
+                    read_at,
+                }
             })
             .collect();
 
@@ -1877,8 +2024,10 @@ impl Network {
             .iter()
             .map(|a| a.locations.iter().map(|l| !l.rates.is_empty()).collect())
             .collect();
+        let tau_procs = (0..n_procs).filter(|&p| tau[p].iter().any(|l| !l.is_empty())).collect();
         let tables = StepTables {
             tau,
+            tau_procs,
             markov,
             sync,
             invariants,
@@ -1889,6 +2038,7 @@ impl Network {
             has_rates,
             advance_flow_mask,
             n_guard_slots: n_guard_slots as usize,
+            n_flow_reads,
             reader_at,
             guard_readers,
             loc_rated,
@@ -2373,6 +2523,18 @@ fn spec_truth(spec: &GuardSpec, nu: &Valuation) -> Result<bool, EvalError> {
     }
 }
 
+/// The variable of the first false atom of a [`GuardSpec::Conj`] guard
+/// that evaluated `false` on `nu`, or [`NO_WITNESS`] for any other guard.
+fn conj_witness(prog: &SolveProg, nu: &Valuation) -> u32 {
+    let Some(GuardSpec::Conj(atoms)) = &prog.spec else { return NO_WITNESS };
+    atoms
+        .iter()
+        .find(|&&(op, v, k)| {
+            nu.get(v).and_then(Value::as_real).is_ok_and(|x| !cmp_truth(op, x - k))
+        })
+        .map_or(NO_WITNESS, |&(_, v, _)| v.0 as u32)
+}
+
 /// Evaluates a [`GuardCode::DelayFree`] program's truth, taking the
 /// [`GuardSpec`] shortcut when one was recognized and profiling is off
 /// (profiled runs execute the program so its opcodes stay observable).
@@ -2529,15 +2691,52 @@ fn eval_guard<P: ProfileHooks>(
 // Runtime: value programs
 // ---------------------------------------------------------------------------
 
-fn run_eval<P: ProfileHooks>(
+/// Receives every variable a value program reads, in read order.
+trait ReadSink {
+    fn read(&mut self, v: VarId);
+}
+
+/// Records nothing: the instantiation monomorphizes to no extra work.
+impl ReadSink for () {
+    #[inline(always)]
+    fn read(&mut self, _: VarId) {}
+}
+
+/// Logs the distinct variables a flow evaluation reads into the flow's
+/// slice of the per-path log, which has room for every variable of the
+/// flow's expression.
+struct ReadLog<'a> {
+    buf: &'a mut [VarId],
+    n: usize,
+}
+
+impl ReadSink for ReadLog<'_> {
+    #[inline]
+    fn read(&mut self, v: VarId) {
+        if !self.buf[..self.n].contains(&v) {
+            self.buf[self.n] = v;
+            self.n += 1;
+        }
+    }
+}
+
+/// `nu[v]`, reported to the read sink.
+#[inline(always)]
+fn read_var<R: ReadSink>(nu: &Valuation, reads: &mut R, v: VarId) -> Result<Value, EvalError> {
+    reads.read(v);
+    nu.get(v)
+}
+
+fn run_eval<P: ProfileHooks, R: ReadSink>(
     prog: &EvalProg,
     nu: &Valuation,
     stack: &mut Vec<Value>,
     prof: &mut P,
+    reads: &mut R,
 ) -> Result<Value, EvalError> {
     if !P::ENABLED {
         if let Some(spec) = &prog.spec {
-            return run_eval_spec(spec, nu);
+            return run_eval_spec(spec, nu, reads);
         }
     }
     stack.clear();
@@ -2549,7 +2748,7 @@ fn run_eval<P: ProfileHooks>(
         }
         match &prog.ops[pc] {
             EvalOp::Const(v) => stack.push(*v),
-            EvalOp::Var(v) => stack.push(nu.get(*v)?),
+            EvalOp::Var(v) => stack.push(read_var(nu, reads, *v)?),
             EvalOp::Not => {
                 let v = stack.pop().expect("value stack underflow");
                 stack.push(Value::Bool(!v.as_bool()?));
@@ -2606,12 +2805,12 @@ fn run_eval<P: ProfileHooks>(
             }
             EvalOp::Jump(n) => pc += *n as usize,
             EvalOp::VarConstBin(op, v, k) => {
-                let a = nu.get(*v)?;
+                let a = read_var(nu, reads, *v)?;
                 stack.push(eval_bin(*op, a, *k)?);
             }
             EvalOp::VarVarBin(op, va, vb) => {
-                let a = nu.get(*va)?;
-                let b = nu.get(*vb)?;
+                let a = read_var(nu, reads, *va)?;
+                let b = read_var(nu, reads, *vb)?;
                 stack.push(eval_bin(*op, a, b)?);
             }
             EvalOp::BinConst(op, k) => {
@@ -2619,14 +2818,14 @@ fn run_eval<P: ProfileHooks>(
                 stack.push(eval_bin(*op, a, *k)?);
             }
             EvalOp::VarCmpConstJumpFalse { op, v, k, skip } => {
-                let a = nu.get(*v)?;
+                let a = read_var(nu, reads, *v)?;
                 let cond = eval_bin(*op, a, *k)?.as_bool()?;
                 if !cond {
                     pc += *skip as usize;
                 }
             }
             EvalOp::VarSelConst { v, t, e } => {
-                let c = nu.get(*v)?.as_bool()?;
+                let c = read_var(nu, reads, *v)?.as_bool()?;
                 stack.push(if c { *t } else { *e });
             }
         }
@@ -2637,18 +2836,24 @@ fn run_eval<P: ProfileHooks>(
 
 /// Evaluates a recognized whole-program value shape without the stack
 /// machine — same read order and errors as running the fused program.
-fn run_eval_spec(spec: &EvalSpec, nu: &Valuation) -> Result<Value, EvalError> {
+fn run_eval_spec<R: ReadSink>(
+    spec: &EvalSpec,
+    nu: &Valuation,
+    reads: &mut R,
+) -> Result<Value, EvalError> {
     match spec {
         EvalSpec::Const(v) => Ok(*v),
-        EvalSpec::Var(v) => nu.get(*v),
-        EvalSpec::VarConstBin(op, v, k) => eval_bin(*op, nu.get(*v)?, *k),
-        EvalSpec::VarVarBin(op, a, b) => eval_bin(*op, nu.get(*a)?, nu.get(*b)?),
+        EvalSpec::Var(v) => read_var(nu, reads, *v),
+        EvalSpec::VarConstBin(op, v, k) => eval_bin(*op, read_var(nu, reads, *v)?, *k),
+        EvalSpec::VarVarBin(op, a, b) => {
+            eval_bin(*op, read_var(nu, reads, *a)?, read_var(nu, reads, *b)?)
+        }
         EvalSpec::VarSelConst(v, t, e) => {
-            let c = nu.get(*v)?.as_bool()?;
+            let c = read_var(nu, reads, *v)?.as_bool()?;
             Ok(if c { *t } else { *e })
         }
         EvalSpec::VarConstBinConst(op1, v, k1, op2, k2) => {
-            eval_bin(*op2, eval_bin(*op1, nu.get(*v)?, *k1)?, *k2)
+            eval_bin(*op2, eval_bin(*op1, read_var(nu, reads, *v)?, *k1)?, *k2)
         }
     }
 }
@@ -2706,13 +2911,7 @@ impl Network {
     /// Any other change to the state needs a new `stepping_begin`.
     /// Tables compiled with [`CompileOptions::reference`] never cache.
     pub fn stepping_begin(&self, t: &StepTables, s: &mut StepScratch, state: &NetState) {
-        let c = &mut s.cache;
-        c.active = t.incremental;
-        c.truth.clear();
-        c.truth.resize(t.n_guard_slots, UNKNOWN);
-        c.markov_valid = false;
-        c.moved.clear();
-        c.rates_dirty = false;
+        s.cache.begin(t);
         self.refresh_rates(t, s, state);
     }
 
@@ -2844,39 +3043,31 @@ impl Network {
         // short-circuit on the Boolean interpreter: disabled guards cost
         // one `run_bool`, enabled ones a `set_all` — no interval-set
         // round-trip (the windows are identical either way).
-        for (p, by_loc) in t.tau.iter().enumerate() {
-            for cg in &by_loc[state.locs[p].0] {
-                let all = if let GuardCode::DelayFree(prog) = &cg.guard {
-                    if !s.cache.truth_of(cg, prog, p, &state.nu, &mut s.solver, prof)? {
-                        continue;
+        for &p in &t.tau_procs {
+            let guards = &t.tau[p][state.locs[p].0];
+            let Some(first) = guards.first() else { continue };
+            // Inside a sequence only the slots not known false, ascending:
+            // the candidate order.
+            let (lo, hi) = (first.slot as usize, first.slot as usize + guards.len());
+            for w in lo / 64..hi.div_ceil(64) {
+                let (from, to) = (lo.max(w * 64) - w * 64, hi.min(w * 64 + 64) - w * 64);
+                let word = if s.cache.active { *s.cache.maybe_word(w) } else { !0 };
+                let mut bits = word & ((!0u64 >> (64 - (to - from))) << from);
+                while bits != 0 {
+                    let cg = &guards[w * 64 + bits.trailing_zeros() as usize - lo];
+                    bits &= bits - 1;
+                    let Some(all) = local_guard(s, cg, p, &state.nu, prof)? else { continue };
+                    let c = next_slot(&mut s.cands, &mut s.n_cands);
+                    c.action = ActionId::TAU;
+                    c.parts.clear();
+                    c.parts.push((ProcId(p), cg.trans));
+                    if all {
+                        c.window.set_all();
+                    } else {
+                        std::mem::swap(&mut c.window, &mut s.guard_result);
                     }
-                    true
-                } else {
-                    eval_guard(
-                        &cg.guard,
-                        &state.nu,
-                        &s.rates,
-                        &mut s.solver,
-                        &mut s.guard_result,
-                        prof,
-                    )?;
-                    let enabled = !s.guard_result.is_empty();
-                    prof.guard_eval(p, cg.trans.0, enabled);
-                    if !enabled {
-                        continue;
-                    }
-                    false
-                };
-                let c = next_cand(&mut s.cands, &mut s.n_cands);
-                c.action = ActionId::TAU;
-                c.parts.clear();
-                c.parts.push((ProcId(p), cg.trans));
-                if all {
-                    c.window.set_all();
-                } else {
-                    std::mem::swap(&mut c.window, &mut s.guard_result);
+                    c.urgent = cg.urgent;
                 }
-                c.urgent = cg.urgent;
             }
         }
 
@@ -2889,29 +3080,10 @@ impl Network {
             for part in &table.parts {
                 let start = s.n_opts;
                 for cg in &part.by_loc[state.locs[part.proc.0].0] {
-                    let all = if let GuardCode::DelayFree(prog) = &cg.guard {
-                        let p = part.proc.0;
-                        if !s.cache.truth_of(cg, prog, p, &state.nu, &mut s.solver, prof)? {
-                            continue;
-                        }
-                        true
-                    } else {
-                        eval_guard(
-                            &cg.guard,
-                            &state.nu,
-                            &s.rates,
-                            &mut s.solver,
-                            &mut s.guard_result,
-                            prof,
-                        )?;
-                        let enabled = !s.guard_result.is_empty();
-                        prof.guard_eval(part.proc.0, cg.trans.0, enabled);
-                        if !enabled {
-                            continue;
-                        }
-                        false
+                    let Some(all) = local_guard(s, cg, part.proc.0, &state.nu, prof)? else {
+                        continue;
                     };
-                    let o = next_opt(&mut s.opts, &mut s.n_opts);
+                    let o = next_slot(&mut s.opts, &mut s.n_opts);
                     o.trans = cg.trans;
                     if all {
                         o.window.set_all();
@@ -2933,7 +3105,7 @@ impl Network {
             // varying fastest (legacy order).
             s.n_combo_a = 0;
             {
-                let c = next_combo(&mut s.combo_a, &mut s.n_combo_a);
+                let c = next_slot(&mut s.combo_a, &mut s.n_combo_a);
                 c.parts.clear();
                 c.window.set_all();
                 c.urgent = false;
@@ -2947,7 +3119,7 @@ impl Network {
                         if s.temp_w.is_empty() {
                             continue;
                         }
-                        let nc = next_combo(&mut s.combo_b, &mut s.n_combo_b);
+                        let nc = next_slot(&mut s.combo_b, &mut s.n_combo_b);
                         nc.parts.clear();
                         nc.parts.extend_from_slice(&s.combo_a[ci].parts);
                         nc.parts.push((part.proc, s.opts[oi].trans));
@@ -2962,7 +3134,7 @@ impl Network {
                 }
             }
             for ci in 0..s.n_combo_a {
-                let c = next_cand(&mut s.cands, &mut s.n_cands);
+                let c = next_slot(&mut s.cands, &mut s.n_cands);
                 c.action = table.action;
                 c.parts.clear();
                 c.parts.extend_from_slice(&s.combo_a[ci].parts);
@@ -3128,8 +3300,9 @@ impl Network {
     /// participant plus the effect- and flow-program opcodes executed.
     /// Inside a stepping sequence (see [`Network::stepping_begin`]) it
     /// also keeps the sequence's caches in step with the state: changed
-    /// values evict their readers' cached truths, and location changes
-    /// are noted for the Markovian list and the rate refresh.
+    /// values evict their readers' cached truths, location changes are
+    /// noted for the Markovian list and the rate refresh, and a flow
+    /// re-runs only if a variable its last evaluation read changed.
     ///
     /// # Errors
     /// Identical to the legacy method. On error the state may be partially
@@ -3143,13 +3316,14 @@ impl Network {
         prof: &mut P,
     ) -> Result<(), EvalError> {
         s.writes.clear();
+        s.cache.now += 1;
         let mut flow_mask = 0u64;
         for &(p, t_id) in parts {
             prof.fired(p.0, t_id.0);
             let ct = &t.trans[p.0][t_id.0];
             flow_mask |= ct.flow_mask;
             for eff in &ct.effects {
-                let v = run_eval(&eff.prog, &state.nu, &mut s.vals, prof)?;
+                let v = run_eval(&eff.prog, &state.nu, &mut s.vals, prof, &mut ())?;
                 let v = eff.ty.canonicalize(v);
                 if !eff.ty.admits(v) {
                     if let (VarType::Int { lo, hi }, Value::Int(i)) = (eff.ty, v) {
@@ -3192,7 +3366,7 @@ impl Network {
             let (var, v) = s.writes[i];
             set_noted(t, &mut state.nu, &mut s.cache, var, v)?;
         }
-        run_flows_inner(t, flow_mask, &mut s.vals, &mut s.cache, &mut state.nu, prof)
+        run_flows_inner(t, flow_mask, true, &mut s.vals, &mut s.cache, &mut state.nu, prof)
     }
 
     /// Compiles a standalone Boolean predicate (a property goal) for
@@ -3206,9 +3380,19 @@ impl Network {
     /// (pass [`CompileOptions::reference`] for the unfused reference
     /// predicate used by differential testing).
     pub fn compile_predicate_with(&self, e: &Expr, opts: &CompileOptions) -> CompiledPredicate {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         let rated = rated_vars(self);
+        let code = specialize_delay_free(compile_guard(e, self, opts.optimize), &rated);
+        let mut reads: Vec<VarId> = match &code {
+            GuardCode::DelayFree(p) => p.ops.iter().filter_map(solve_op_var).collect(),
+            _ => Vec::new(),
+        };
+        reads.sort_unstable_by_key(|v| v.0);
+        reads.dedup();
         CompiledPredicate {
-            code: specialize_delay_free(compile_guard(e, self, opts.optimize), &rated),
+            code,
+            reads: reads.into_boxed_slice(),
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -3233,6 +3417,9 @@ impl Network {
     /// [`Network::predicate_window_into`] without the rate refresh (see
     /// [`Network::delay_window_rated_prof`] for the contract) and with
     /// profiling hooks: records the predicate-program opcodes executed.
+    /// Inside a stepping sequence a delay-free predicate keeps its last
+    /// truth until a variable it reads changes, and records nothing
+    /// while it does.
     ///
     /// # Errors
     /// Solver errors, as for guards.
@@ -3244,7 +3431,17 @@ impl Network {
         out: &mut IntervalSet,
         prof: &mut P,
     ) -> Result<(), EvalError> {
-        eval_guard(&pred.code, &state.nu, &s.rates, &mut s.solver, out, prof)
+        match &pred.code {
+            GuardCode::DelayFree(prog) if s.cache.active => {
+                if s.cache.predicate_truth(pred, prog, &state.nu, &mut s.solver, prof)? {
+                    out.set_all();
+                } else {
+                    out.clear();
+                }
+                Ok(())
+            }
+            code => eval_guard(code, &state.nu, &s.rates, &mut s.solver, out, prof),
+        }
     }
 }
 
@@ -3253,6 +3450,11 @@ impl Network {
 #[derive(Debug, Clone)]
 pub struct CompiledPredicate {
     code: GuardCode,
+    /// The variables a delay-free predicate reads, deduplicated.
+    reads: Box<[VarId]>,
+    /// Identifies the predicate's memo in a stepping sequence; clones
+    /// share it, as they share the program.
+    id: u64,
 }
 
 impl CompiledPredicate {
@@ -3304,7 +3506,8 @@ fn advance_unchecked_mut<P: ProfileHooks>(
         // it already established; skip the re-run.
         return Ok(());
     }
-    run_flows_inner(t, t.advance_flow_mask, vals, cache, &mut state.nu, prof)
+    cache.now += 1;
+    run_flows_inner(t, t.advance_flow_mask, false, vals, cache, &mut state.nu, prof)
 }
 
 /// Re-establishes flows in definition (topological) order. Bit `i` of
@@ -3314,9 +3517,16 @@ fn advance_unchecked_mut<P: ProfileHooks>(
 /// runs everything, which is also the fallback for >64 flows. A flow that
 /// does run but rewrites the value it already holds evicts nothing from
 /// the enabledness cache.
+///
+/// Inside a stepping sequence, `demand` (an `apply`) also skips a masked
+/// flow none of whose last-read variables changed, and logs the reads of
+/// each flow it runs; otherwise (an `advance`, whose boundary retreat
+/// restores values behind the log's back) the flows run and their read
+/// sets are forgotten.
 fn run_flows_inner<P: ProfileHooks>(
     t: &StepTables,
     mask: u64,
+    demand: bool,
     vals: &mut Vec<Value>,
     cache: &mut EnabledCache,
     nu: &mut Valuation,
@@ -3326,7 +3536,22 @@ fn run_flows_inner<P: ProfileHooks>(
         if mask != u64::MAX && (mask >> i) & 1 == 0 {
             continue;
         }
-        let v = run_eval(&f.prog, nu, vals, prof)?;
+        let v = if cache.active && demand {
+            if cache.flow_current(f, i) {
+                continue;
+            }
+            let mut log = ReadLog { buf: &mut cache.reads[f.read_at as usize..], n: 0 };
+            let v = run_eval(&f.prog, nu, vals, prof, &mut log)?;
+            cache.flow_reads[i] = log.n as u32;
+            cache.flow_at[i] = cache.now;
+            v
+        } else {
+            if cache.active {
+                cache.flow_at[i] = 0;
+            }
+            run_eval(&f.prog, nu, vals, prof, &mut ())?
+        };
+        prof.flow_eval(i);
         let v = f.ty.canonicalize(v);
         if !f.ty.admits(v) {
             if let (VarType::Int { lo, hi }, Value::Int(i)) = (f.ty, v) {
@@ -4492,14 +4717,17 @@ mod tests {
 
     // ---- incremental enabledness ----
 
-    /// Records every guard evaluation the kernel reports.
+    /// Records every guard evaluation and flow re-run the kernel reports.
     #[derive(Default)]
-    struct Evals(Vec<(usize, usize)>);
+    struct Evals(Vec<(usize, usize)>, Vec<usize>);
 
     impl ProfileHooks for Evals {
         const ENABLED: bool = false;
         fn guard_eval(&mut self, proc: usize, trans: usize, _enabled: bool) {
             self.0.push((proc, trans));
+        }
+        fn flow_eval(&mut self, flow: usize) {
+            self.1.push(flow);
         }
     }
 
@@ -4923,6 +5151,259 @@ mod tests {
             rated
                 .delay_window_into(&t_rated, &mut s, &rated.initial_state().unwrap(), &mut w)
                 .unwrap();
+        }
+    }
+
+    /// Fires transition `tr` of process `p` inside the running sequence,
+    /// returning the flows it re-ran.
+    fn fire(
+        net: &Network,
+        t: &StepTables,
+        s: &mut StepScratch,
+        st: &mut NetState,
+        p: usize,
+        tr: usize,
+    ) -> Vec<usize> {
+        let mut evals = Evals::default();
+        net.apply_mut_prof(t, s, st, &[(ProcId(p), TransId(tr))], &mut evals).unwrap();
+        evals.1
+    }
+
+    /// The guards the candidate scan evaluates in `st`.
+    fn scanned(
+        net: &Network,
+        t: &StepTables,
+        s: &mut StepScratch,
+        st: &NetState,
+    ) -> Vec<(usize, usize)> {
+        let mut evals = Evals::default();
+        net.guarded_candidates_rated_prof(t, s, st, &mut evals).unwrap();
+        evals.0
+    }
+
+    /// A location with 70 τ guards whose slots start mid-word (after a
+    /// 30-guard process) spans two bitset words and crosses the boundary
+    /// at slot 64: the scan must keep candidate order across it.
+    #[test]
+    fn tau_scan_across_bitset_words_keeps_candidate_order() {
+        let mut net = NetworkBuilder::new();
+        let k = net.var("k", VarType::Int { lo: 0, hi: 6 }, Value::Int(0));
+        let mut src = AutomatonBuilder::new("src");
+        let s0 = src.location("s0");
+        let bump = Expr::var(k).add(Expr::int(1)).min(Expr::int(6));
+        src.markovian(s0, 1.0, [Effect::assign(k, bump)], s0);
+        src.markovian(s0, 0.5, [Effect::assign(k, Expr::int(0))], s0);
+        net.add_automaton(src);
+        for (name, guards) in [("small", 30), ("big", 70)] {
+            let mut a = AutomatonBuilder::new(name);
+            let l0 = a.location("l0");
+            for i in 0..guards {
+                let g = Expr::var(k).eq(Expr::int(i % 7)).and(Expr::var(k).ge(Expr::int(i % 3)));
+                a.guarded(l0, ActionId::TAU, g, [], l0);
+            }
+            net.add_automaton(a);
+        }
+        let net = net.build().unwrap();
+        let t = net.compile();
+        assert_eq!(t.tau[2][0].first().map(|cg| cg.slot), Some(30));
+        assert!(lockstep(&net, false, |_, _| {}) > 0);
+
+        // Once every truth is cached, the scan evaluates nothing; after
+        // `k` changes it re-evaluates the readers in ascending order.
+        let mut s = StepScratch::new();
+        let mut st = net.initial_state().unwrap();
+        net.stepping_begin(&t, &mut s, &st);
+        assert_eq!(scanned(&net, &t, &mut s, &st).len(), 100);
+        assert!(scanned(&net, &t, &mut s, &st).is_empty());
+        fire(&net, &t, &mut s, &mut st, 0, 0);
+        let again = scanned(&net, &t, &mut s, &st);
+        assert!(again.windows(2).all(|w| w[0] < w[1]), "scan order {again:?}");
+        assert!(again.iter().any(|&(p, tr)| p == 2 && tr >= 34), "second word not scanned");
+    }
+
+    /// `a == 1 && b > 2`: a cached `false` outlives writes to `b` while
+    /// `a` falsifies it, a write to the witness `a` re-evaluates it, and
+    /// a cached `true` is evicted by a write to either variable.
+    #[test]
+    fn false_conjunction_is_evicted_only_through_its_witness() {
+        let mut net = NetworkBuilder::new();
+        let a = net.var("a", VarType::Int { lo: 0, hi: 3 }, Value::Int(0));
+        let b = net.var("b", VarType::Int { lo: 0, hi: 9 }, Value::Int(5));
+        let mut src = AutomatonBuilder::new("src");
+        let s0 = src.location("s0");
+        src.markovian(
+            s0,
+            1.0,
+            [Effect::assign(b, Expr::var(b).add(Expr::int(1)).min(Expr::int(9)))],
+            s0,
+        );
+        src.markovian(s0, 1.0, [Effect::assign(a, Expr::int(1))], s0);
+        src.markovian(s0, 1.0, [Effect::assign(b, Expr::int(0))], s0);
+        src.markovian(s0, 1.0, [Effect::assign(a, Expr::int(0))], s0);
+        net.add_automaton(src);
+        let mut m = AutomatonBuilder::new("m");
+        let m0 = m.location("m0");
+        let guard = Expr::var(a).eq(Expr::int(1)).and(Expr::var(b).gt(Expr::int(2)));
+        m.guarded(m0, ActionId::TAU, guard, [], m0);
+        net.add_automaton(m);
+        let net = net.build().unwrap();
+        let t = net.compile();
+        let GuardCode::DelayFree(prog) = &t.tau[1][0][0].guard else { panic!("not delay-free") };
+        assert!(matches!(prog.spec, Some(GuardSpec::Conj(_))));
+
+        let mut s = StepScratch::new();
+        let mut st = net.initial_state().unwrap();
+        net.stepping_begin(&t, &mut s, &st);
+        assert_eq!(scanned(&net, &t, &mut s, &st), vec![(1, 0)], "first scan evaluates");
+        fire(&net, &t, &mut s, &mut st, 0, 0);
+        assert!(
+            scanned(&net, &t, &mut s, &st).is_empty(),
+            "a write to `b` evicted a false kept by `a`"
+        );
+        fire(&net, &t, &mut s, &mut st, 0, 1);
+        assert_eq!(scanned(&net, &t, &mut s, &st), vec![(1, 0)], "the witness `a` changed");
+        assert_eq!(s.candidates().len(), 1);
+        fire(&net, &t, &mut s, &mut st, 0, 0);
+        assert_eq!(scanned(&net, &t, &mut s, &st), vec![(1, 0)], "a true is evicted by `b`");
+        fire(&net, &t, &mut s, &mut st, 0, 2);
+        assert_eq!(scanned(&net, &t, &mut s, &st), vec![(1, 0)], "`b` falsifies it now");
+        assert!(s.candidates().is_empty());
+        fire(&net, &t, &mut s, &mut st, 0, 3);
+        assert!(scanned(&net, &t, &mut s, &st).is_empty(), "`a` is not the witness any more");
+        assert!(lockstep(&net, false, |_, _| {}) > 0);
+    }
+
+    /// `y := if c then x else z` reads `x` or `z`, depending on `c`: a
+    /// write to the unread branch variable does not re-run it.
+    #[test]
+    fn flow_reruns_only_when_a_variable_it_read_changed() {
+        let mut net = NetworkBuilder::new();
+        let int = VarType::Int { lo: 0, hi: 9 };
+        let c = net.var("c", VarType::Bool, Value::Bool(true));
+        let x = net.var("x", int, Value::Int(1));
+        let z = net.var("z", int, Value::Int(2));
+        let y = net.var("y", int, Value::Int(1));
+        net.flow(y, Expr::ite(Expr::var(c), Expr::var(x), Expr::var(z)));
+        let mut src = AutomatonBuilder::new("src");
+        let s0 = src.location("s0");
+        let inc = |v: VarId| Effect::assign(v, Expr::var(v).add(Expr::int(1)).min(Expr::int(9)));
+        src.markovian(s0, 1.0, [inc(x)], s0);
+        src.markovian(s0, 1.0, [inc(z)], s0);
+        src.markovian(s0, 1.0, [Effect::assign(c, Expr::var(c).not())], s0);
+        net.add_automaton(src);
+        let net = net.build().unwrap();
+        let t = net.compile();
+        let mut s = StepScratch::new();
+        let mut st = net.initial_state().unwrap();
+        net.stepping_begin(&t, &mut s, &st);
+        assert_eq!(fire(&net, &t, &mut s, &mut st, 0, 1), vec![0], "no read set yet");
+        assert!(fire(&net, &t, &mut s, &mut st, 0, 1).is_empty(), "`z` is not read");
+        assert_eq!(fire(&net, &t, &mut s, &mut st, 0, 0), vec![0], "`x` is read");
+        assert_eq!(fire(&net, &t, &mut s, &mut st, 0, 2), vec![0], "`c` flipped");
+        assert_eq!(st.nu.get(y).unwrap(), st.nu.get(z).unwrap());
+        assert!(fire(&net, &t, &mut s, &mut st, 0, 0).is_empty(), "`x` is not read any more");
+        assert_eq!(fire(&net, &t, &mut s, &mut st, 0, 1), vec![0], "`z` is read now");
+        assert_eq!(st.nu.get(y).unwrap(), st.nu.get(z).unwrap());
+        assert!(lockstep(&net, false, |_, _| {}) > 0);
+    }
+
+    /// `hot := if c >= 2 then k > 0 else false` over a clock `c`: the
+    /// advance that moves `c` past 2 re-runs the flow, which then reads
+    /// `k` too. The read set `{c}` logged before must not survive it, or
+    /// the next write to `k` would skip the flow.
+    #[test]
+    fn advance_forgets_read_sets_of_flows_over_rated_variables() {
+        let mut net = NetworkBuilder::new();
+        let c = net.var("c", VarType::Clock, Value::Real(0.0));
+        let k = net.var("k", VarType::Int { lo: 0, hi: 3 }, Value::Int(0));
+        let hot = net.var("hot", VarType::Bool, Value::Bool(false));
+        let k_pos = Expr::var(k).gt(Expr::int(0));
+        net.flow(hot, Expr::ite(Expr::var(c).ge(Expr::real(2.0)), k_pos, Expr::FALSE));
+        let mut src = AutomatonBuilder::new("src");
+        let s0 = src.location("s0");
+        src.markovian(
+            s0,
+            1.0,
+            [Effect::assign(k, Expr::var(k).add(Expr::int(1)).min(Expr::int(3)))],
+            s0,
+        );
+        src.markovian(s0, 1.0, [Effect::assign(k, Expr::int(0))], s0);
+        net.add_automaton(src);
+        let net = net.build().unwrap();
+        let t = net.compile();
+        let mut s = StepScratch::new();
+        let mut st = net.initial_state().unwrap();
+        net.stepping_begin(&t, &mut s, &st);
+        assert_eq!(fire(&net, &t, &mut s, &mut st, 0, 1), vec![0], "reads {{c}} at c = 0");
+        let mut evals = Evals::default();
+        net.advance_rated_prof(&t, &mut s, &mut st, 3.0, &IntervalSet::all(), &mut evals).unwrap();
+        assert_eq!(evals.1, vec![0], "advance re-runs the flow");
+        assert_eq!(fire(&net, &t, &mut s, &mut st, 0, 0), vec![0], "`k` is read now");
+        assert_eq!(st.nu.get(hot).unwrap(), Value::Bool(true));
+        assert!(lockstep(&net, false, |_, _| {}) > 0);
+    }
+
+    /// Reference tables evaluate every guard, re-run every flow and
+    /// re-evaluate the goal predicate every time.
+    #[test]
+    fn reference_tables_cache_nothing() {
+        let net = delay_flow_net();
+        let t = net.compile_with(&CompileOptions::reference());
+        let pred = net.compile_predicate_with(&Expr::var(VarId(1)), &CompileOptions::reference());
+        let mut s = StepScratch::new();
+        let mut st = net.initial_state().unwrap();
+        net.stepping_begin(&t, &mut s, &st);
+        let mut out = IntervalSet::empty();
+        for _ in 0..3 {
+            let mut evals = Evals::default();
+            net.apply_mut_prof(&t, &mut s, &mut st, &[(ProcId(0), TransId(0))], &mut evals)
+                .unwrap();
+            assert_eq!(evals.1, vec![0], "every flow re-runs");
+            let mut ops = Ops::default();
+            net.predicate_window_rated_prof(&mut s, &pred, &st, &mut out, &mut ops).unwrap();
+            assert!(ops.0 > 0, "the predicate was not evaluated");
+            assert_eq!(scanned(&net, &t, &mut s, &st).len(), 1, "every guard of `idle`");
+        }
+    }
+
+    /// Counts executed opcodes.
+    #[derive(Default)]
+    struct Ops(usize);
+
+    impl ProfileHooks for Ops {
+        const ENABLED: bool = true;
+        fn eval_op(&mut self, _op: usize) {
+            self.0 += 1;
+        }
+    }
+
+    /// A delay-free goal keeps its truth until a variable it reads
+    /// changes, and records no opcodes while it does.
+    #[test]
+    fn delay_free_predicate_keeps_its_truth_until_a_read_changes() {
+        let net = delay_flow_net();
+        let t = net.compile();
+        let n = net.var_id("n").unwrap();
+        let pred = net.compile_predicate(&Expr::var(n).ge(Expr::int(2)));
+        let mut s = StepScratch::new();
+        let mut st = net.initial_state().unwrap();
+        net.stepping_begin(&t, &mut s, &st);
+        let mut out = IntervalSet::empty();
+        let mut window = |s: &mut StepScratch, st: &NetState| {
+            let mut ops = Ops::default();
+            net.predicate_window_rated_prof(s, &pred, st, &mut out, &mut ops).unwrap();
+            let holds = net.eval_bool(st, &Expr::var(n).ge(Expr::int(2))).unwrap();
+            assert_eq!(out, if holds { IntervalSet::all() } else { IntervalSet::empty() });
+            ops.0
+        };
+        assert!(window(&mut s, &st) > 0);
+        assert_eq!(window(&mut s, &st), 0, "nothing changed");
+        net.advance_rated_prof(&t, &mut s, &mut st, 1.0, &IntervalSet::all(), &mut NoopProfile)
+            .unwrap();
+        assert_eq!(window(&mut s, &st), 0, "the advance changed no variable it reads");
+        for expect_eval in [true, true, true, false] {
+            fire(&net, &t, &mut s, &mut st, 0, 0);
+            assert_eq!(window(&mut s, &st) > 0, expect_eval, "n = {:?}", st.nu.get(n));
         }
     }
 }

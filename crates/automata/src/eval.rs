@@ -6,7 +6,7 @@ use crate::value::Value;
 
 /// A valuation `ν : Var → V` assigning a value to every variable of the
 /// network, indexed by [`VarId`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Valuation {
     values: Vec<Value>,
 }

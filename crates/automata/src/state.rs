@@ -5,8 +5,9 @@ use crate::eval::Valuation;
 use std::fmt;
 
 /// A global state: one current location per automaton, a valuation of all
-/// variables, and the absolute model time.
-#[derive(Debug, Clone, PartialEq)]
+/// variables, and the absolute model time. The default is the empty state
+/// (no processes, no variables), which does not allocate.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct NetState {
     /// Current location of each automaton (indexed by `ProcId`).
     pub locs: Vec<LocId>,

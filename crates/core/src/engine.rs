@@ -26,9 +26,7 @@ use slim_automata::automaton::{ActionId, ProcId, TransId};
 use slim_automata::error::EvalError;
 use slim_automata::interval::IntervalSet;
 use slim_automata::network::GlobalTransition;
-use slim_automata::prelude::{
-    CompileOptions, NetState, Network, StepScratch, StepTables, Valuation,
-};
+use slim_automata::prelude::{CompileOptions, NetState, Network, StepScratch, StepTables};
 use slim_obs::profile::{KernelProfile, ProfileHooks};
 use slim_stats::rng::{exponential_from_uniform, path_rng, StdRng};
 
@@ -211,7 +209,7 @@ impl SimScratch {
         SimScratch {
             step: StepScratch::new(),
             pool: GoalPool::new(),
-            state: empty_state(),
+            state: NetState::default(),
             goal_win: IntervalSet::empty(),
             viol_win: IntervalSet::empty(),
             hold_win: IntervalSet::empty(),
@@ -231,11 +229,6 @@ impl Default for SimScratch {
     fn default() -> SimScratch {
         SimScratch::new()
     }
-}
-
-/// A state with no locations and no variables (does not allocate).
-fn empty_state() -> NetState {
-    NetState::new(Vec::new(), Valuation::new(Vec::new()))
 }
 
 /// Acquires the next scheduled-candidate slot, reusing retired buffers
@@ -446,7 +439,7 @@ impl<'a> PathGenerator<'a> {
         // Lend the scratch-owned state buffer to the path, which the step
         // function borrows separately from the scratch; the buffer (with
         // its grown capacity) is handed back before returning.
-        let state = std::mem::replace(&mut s.state, empty_state());
+        let state = std::mem::take(&mut s.state);
         let mut walk = Walk { state, steps: 0, log_weight: 0.0 };
         let result = match &self.initial {
             Ok(init) => {

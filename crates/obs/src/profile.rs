@@ -68,6 +68,13 @@ pub trait ProfileHooks {
         let _ = (proc, trans, enabled);
     }
 
+    /// Data flow `flow` (index in the network's flow list) was
+    /// re-evaluated.
+    #[inline]
+    fn flow_eval(&mut self, flow: usize) {
+        let _ = flow;
+    }
+
     /// Transition `trans` of process `proc` fired.
     #[inline]
     fn fired(&mut self, proc: usize, trans: usize) {
