@@ -29,24 +29,16 @@ impl Accumulator {
         self.sum[i] += x;
     }
 
-    /// Appends the touched `(index, sum)` pairs to `out` in index order
-    /// and resets the accumulator.
-    pub(crate) fn drain_into(&mut self, out: &mut Vec<(usize, f64)>) {
+    /// Hands the touched `(index, sum)` pairs to `f` in index order and
+    /// resets the accumulator.
+    pub(crate) fn drain(&mut self, mut f: impl FnMut(usize, f64)) {
         self.touched.sort_unstable();
         for &i in &self.touched {
-            out.push((i, self.sum[i]));
+            f(i, self.sum[i]);
             self.sum[i] = 0.0;
             self.seen[i] = false;
         }
         self.touched.clear();
-    }
-
-    /// The touched pairs in index order as an exactly sized vector;
-    /// resets the accumulator.
-    pub(crate) fn take(&mut self) -> Vec<(usize, f64)> {
-        let mut out = Vec::with_capacity(self.touched.len());
-        self.drain_into(&mut out);
-        out
     }
 }
 
@@ -66,13 +58,16 @@ mod tests {
         }
         let mut want: Vec<(usize, f64)> = map.into_iter().collect();
         want.sort_by_key(|&(i, _)| i);
-        let got = acc.take();
+        let mut got = Vec::new();
+        acc.drain(|i, x| got.push((i, x)));
         assert_eq!(
             got.iter().map(|&(i, x)| (i, x.to_bits())).collect::<Vec<_>>(),
             want.iter().map(|&(i, x)| (i, x.to_bits())).collect::<Vec<_>>()
         );
         // Reset: the next round starts from zero.
         acc.add(3, 2.0);
-        assert_eq!(acc.take(), vec![(3, 2.0)]);
+        got.clear();
+        acc.drain(|i, x| got.push((i, x)));
+        assert_eq!(got, vec![(3, 2.0)]);
     }
 }

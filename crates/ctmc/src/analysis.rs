@@ -4,7 +4,6 @@
 //! (NuSMV reachability → sigref bisimulation reduction → MRMC model
 //! checking), producing the CTMC columns of Table I.
 
-use crate::ctmc::Ctmc;
 use crate::eliminate::eliminate;
 use crate::error::CtmcError;
 use crate::explore::{explore, ExploreConfig};
@@ -61,16 +60,9 @@ pub fn check_timed_reachability(
     let ctmc = eliminate(&explored.imc)?;
     let t2 = Instant::now();
     let tangible_states = ctmc.len();
-    let (final_chain, lumped_states): (Ctmc, usize) = if config.skip_lumping {
-        let n = ctmc.len();
-        (ctmc, n)
-    } else {
-        let lumped = lump(&ctmc);
-        let n = lumped.quotient.len();
-        (lumped.quotient, n)
-    };
+    let chain = if config.skip_lumping { ctmc } else { lump(&ctmc).quotient };
     let t3 = Instant::now();
-    let probability = timed_reachability(&final_chain, t, &config.transient);
+    let probability = timed_reachability(&chain, t, &config.transient);
     let t4 = Instant::now();
 
     Ok(PipelineResult {
@@ -78,7 +70,7 @@ pub fn check_timed_reachability(
         states: explored.states,
         transitions: explored.imc.transition_count(),
         tangible_states,
-        lumped_states,
+        lumped_states: chain.len(),
         approx_memory_bytes: explored.approx_memory_bytes,
         wall: t4 - t0,
         phase_wall: (t1 - t0, t2 - t1, t3 - t2, t4 - t3),

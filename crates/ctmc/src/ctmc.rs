@@ -1,12 +1,13 @@
 //! Continuous-time Markov chains.
 
-/// A CTMC in sparse form with a goal labeling and an initial distribution
-/// (the initial state of the model may be vanishing, dissolving into a
-/// distribution over tangible states).
-#[derive(Debug, Clone, PartialEq)]
+use crate::csr::Rows;
+
+/// A CTMC with compressed-sparse-row rates, a goal labeling and an initial
+/// distribution (the model's initial state may be vanishing, dissolving
+/// into a distribution over tangible states).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Ctmc {
-    /// Per-state sparse rate rows: `rates[s] = [(target, λ), …]`.
-    pub rates: Vec<Vec<(usize, f64)>>,
+    pub(crate) rates: Rows,
     /// Goal labeling.
     pub goal: Vec<bool>,
     /// Initial probability distribution `[(state, p), …]`, summing to 1.
@@ -14,6 +15,14 @@ pub struct Ctmc {
 }
 
 impl Ctmc {
+    /// Builds a chain from per-state rate rows `rows[s] = [(target, λ), …]`,
+    /// a goal labeling and an initial distribution `init`. Panics on a
+    /// target or an edge count past `u32::MAX`.
+    pub fn from_rows(rows: &[Vec<(usize, f64)>], goal: Vec<bool>, init: Vec<(usize, f64)>) -> Ctmc {
+        let rates = Rows::from_lists(rows.iter().map(|r| r.iter().map(|&(t, q)| (t, Some(q)))));
+        Ctmc { rates, goal, initial: init }
+    }
+
     /// Number of states.
     pub fn len(&self) -> usize {
         self.rates.len()
@@ -21,34 +30,17 @@ impl Ctmc {
 
     /// True if the chain has no states.
     pub fn is_empty(&self) -> bool {
-        self.rates.is_empty()
+        self.rates.len() == 0
     }
 
     /// Number of (non-zero) transitions.
     pub fn transition_count(&self) -> usize {
-        self.rates.iter().map(Vec::len).sum()
+        self.rates.edges()
     }
 
-    /// Total exit rate of state `s`.
-    pub fn exit_rate(&self, s: usize) -> f64 {
-        self.rates[s].iter().map(|(_, r)| r).sum()
-    }
-
-    /// The maximal exit rate (uniformization constant basis).
-    pub fn max_exit_rate(&self) -> f64 {
-        (0..self.len()).map(|s| self.exit_rate(s)).fold(0.0, f64::max)
-    }
-
-    /// A copy with all goal states made absorbing — the standard reduction
-    /// of time-bounded reachability to transient analysis.
-    pub fn goal_absorbing(&self) -> Ctmc {
-        let mut c = self.clone();
-        for (s, is_goal) in c.goal.iter().enumerate() {
-            if *is_goal {
-                c.rates[s].clear();
-            }
-        }
-        c
+    /// The `(target, λ)` edges leaving state `s`.
+    pub fn row(&self, s: usize) -> impl ExactSizeIterator<Item = (usize, f64)> + '_ {
+        self.rates.row(s)
     }
 
     /// Validates structural sanity (used by tests and debug assertions):
@@ -58,8 +50,8 @@ impl Ctmc {
         if self.goal.len() != n {
             return Err(format!("goal labeling has {} entries for {n} states", self.goal.len()));
         }
-        for (s, row) in self.rates.iter().enumerate() {
-            for &(t, r) in row {
+        for s in 0..n {
+            for (t, r) in self.row(s) {
                 if t >= n {
                     return Err(format!("transition {s}→{t} out of range"));
                 }
@@ -85,12 +77,12 @@ impl Ctmc {
 mod tests {
     use super::*;
 
+    fn rows() -> Vec<Vec<(usize, f64)>> {
+        vec![vec![(1, 2.0)], vec![(0, 1.0), (2, 3.0)], vec![]]
+    }
+
     fn chain() -> Ctmc {
-        Ctmc {
-            rates: vec![vec![(1, 2.0)], vec![(0, 1.0), (2, 3.0)], vec![]],
-            goal: vec![false, false, true],
-            initial: vec![(0, 1.0)],
-        }
+        Ctmc::from_rows(&rows(), vec![false, false, true], vec![(0, 1.0)])
     }
 
     #[test]
@@ -99,28 +91,20 @@ mod tests {
         assert_eq!(c.len(), 3);
         assert!(!c.is_empty());
         assert_eq!(c.transition_count(), 3);
-        assert_eq!(c.exit_rate(1), 4.0);
-        assert_eq!(c.max_exit_rate(), 4.0);
+        assert_eq!(c.row(1).collect::<Vec<_>>(), [(0, 1.0), (2, 3.0)]);
+        assert_eq!(c.row(2).len(), 0);
         assert!(c.check_valid().is_ok());
     }
 
     #[test]
-    fn goal_absorbing_clears_goal_rows() {
-        let mut c = chain();
-        c.rates[2] = vec![(0, 5.0)];
-        let g = c.goal_absorbing();
-        assert!(g.rates[2].is_empty());
-        assert_eq!(g.rates[0], c.rates[0]);
-    }
-
-    #[test]
     fn validity_catches_errors() {
-        let mut c = chain();
-        c.rates[0][0].0 = 9;
-        assert!(c.check_valid().is_err());
-        let mut c = chain();
-        c.rates[0][0].1 = -1.0;
-        assert!(c.check_valid().is_err());
+        let with_edge = |e| {
+            let mut r = rows();
+            r[0][0] = e;
+            Ctmc::from_rows(&r, vec![false, false, true], vec![(0, 1.0)])
+        };
+        assert!(with_edge((9, 2.0)).check_valid().is_err());
+        assert!(with_edge((1, -1.0)).check_valid().is_err());
         let mut c = chain();
         c.initial = vec![(0, 0.5)];
         assert!(c.check_valid().is_err());

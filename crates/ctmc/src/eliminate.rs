@@ -9,6 +9,7 @@
 //! rid the model of interactive transitions before MRMC can run).
 
 use crate::accumulate::Accumulator;
+use crate::csr::Rows;
 use crate::ctmc::Ctmc;
 use crate::error::CtmcError;
 use crate::imc::Imc;
@@ -30,38 +31,37 @@ pub fn eliminate(imc: &Imc) -> Result<Ctmc, CtmcError> {
     if imc.is_empty() {
         return Err(CtmcError::Empty);
     }
-    let mut r = Resolver::new(imc);
-    let tangible = r.goal_sink;
-    let mut acc = Accumulator::new(tangible + 1);
+    let mut r = Resolver::new(imc)?;
+    let mut acc = Accumulator::new(r.goal_sink + 1);
 
     // Build rows for tangible states, in state order.
-    let mut rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(tangible);
-    let mut goal: Vec<bool> = Vec::with_capacity(tangible);
-    for s in imc.states.iter().filter(|s| !s.is_vanishing()) {
-        goal.push(s.goal);
-        for &(target, _) in &s.markovian {
+    let mut ctmc = Ctmc::default();
+    for s in (0..imc.len()).filter(|&s| !imc.is_vanishing(s)) {
+        ctmc.goal.push(imc.goal(s));
+        for (target, _) in imc.markovian(s) {
             r.resolve(imc, target, &mut acc)?;
         }
-        for &(target, rate) in &s.markovian {
-            for &(t, p) in r.dist(target) {
+        for (target, rate) in imc.markovian(s) {
+            for (t, p) in r.dist(target) {
                 acc.add(t, rate * p);
             }
         }
-        let mut row = acc.take();
-        row.retain(|&(_, rate)| rate > 0.0);
-        rows.push(row);
+        acc.drain(|t, rate| {
+            if rate > 0.0 {
+                ctmc.rates.push(t as u32, Some(rate));
+            }
+        });
+        ctmc.rates.end_row()?;
     }
 
     // Initial distribution: resolve state 0.
     r.resolve(imc, 0, &mut acc)?;
-    let initial = r.dist(0).to_vec();
+    ctmc.initial = r.dist(0).collect();
 
     if r.uses_goal_sink {
-        rows.push(Vec::new());
-        goal.push(true);
+        ctmc.rates.end_row()?;
+        ctmc.goal.push(true);
     }
-
-    let ctmc = Ctmc { rates: rows, goal, initial };
     debug_assert!(ctmc.check_valid().is_ok(), "{:?}", ctmc.check_valid());
     Ok(ctmc)
 }
@@ -76,8 +76,8 @@ enum Memo {
     Open,
     /// Vanishing state being resolved (on the DFS stack).
     OnStack,
-    /// Resolved: the distribution is `dists[start..end]`.
-    Done(usize, usize),
+    /// Resolved: the distribution is this row of `dists`.
+    Done(u32),
 }
 
 /// Memoized resolution: the distribution over CTMC indices reached from
@@ -85,13 +85,13 @@ enum Memo {
 #[derive(Debug)]
 struct Resolver {
     memo: Vec<Memo>,
-    /// Flat arena of distributions. It starts with one `(index, 1.0)`
-    /// entry per tangible state (in CTMC order), followed by the goal
-    /// sink's; resolved vanishing distributions are appended after.
-    dists: Vec<(usize, f64)>,
+    /// One `(CTMC index, probability)` row per distribution: `(t, 1.0)`
+    /// for each tangible state `t` and the goal sink, then resolved
+    /// vanishing states' (never more rows than the `u32` state ids).
+    dists: Rows,
     /// CTMC index of the synthetic absorbing goal state that collects
     /// probability reaching the goal *inside* a vanishing chain; it equals
-    /// the number of tangible states.
+    /// the number of tangible states, so CTMC indices fit in `u32` too.
     goal_sink: usize,
     uses_goal_sink: bool,
     /// Explicit DFS stack of `(state, next interactive successor)`.
@@ -99,29 +99,31 @@ struct Resolver {
 }
 
 impl Resolver {
-    fn new(imc: &Imc) -> Resolver {
+    fn new(imc: &Imc) -> Result<Resolver, CtmcError> {
         let mut memo = Vec::with_capacity(imc.len());
-        let mut dists = Vec::new();
-        for s in &imc.states {
-            memo.push(if !s.is_vanishing() {
-                let t = dists.len();
-                dists.push((t, 1.0));
-                Memo::Done(t, t + 1)
-            } else if s.goal {
+        let mut dists = Rows::default();
+        for s in 0..imc.len() {
+            memo.push(if !imc.is_vanishing(s) {
+                let t = dists.len() as u32;
+                dists.push(t, Some(1.0));
+                dists.end_row()?;
+                Memo::Done(t)
+            } else if imc.goal(s) {
                 Memo::GoalVanishing
             } else {
                 Memo::Open
             });
         }
         let goal_sink = dists.len();
-        dists.push((goal_sink, 1.0));
-        Resolver { memo, dists, goal_sink, uses_goal_sink: false, stack: Vec::new() }
+        dists.push(goal_sink as u32, Some(1.0));
+        dists.end_row()?;
+        Ok(Resolver { memo, dists, goal_sink, uses_goal_sink: false, stack: Vec::new() })
     }
 
     /// The distribution of a resolved state.
-    fn dist(&self, i: usize) -> &[(usize, f64)] {
+    fn dist(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         match self.memo[i] {
-            Memo::Done(start, end) => &self.dists[start..end],
+            Memo::Done(row) => self.dists.row(row as usize),
             _ => unreachable!("state {i} read before it was resolved"),
         }
     }
@@ -133,22 +135,22 @@ impl Resolver {
         self.enter(root)?;
         while let Some(top) = self.stack.last_mut() {
             let (i, next) = *top;
-            let succs = &imc.states[i].interactive;
+            let succs = imc.interactive(i);
             if next < succs.len() {
                 top.1 += 1;
-                self.enter(succs[next])?;
+                self.enter(succs[next] as usize)?;
                 continue;
             }
             self.stack.pop();
             let k = succs.len() as f64;
             for &succ in succs {
-                for &(t, p) in self.dist(succ) {
+                for (t, p) in self.dist(succ as usize) {
                     acc.add(t, p / k);
                 }
             }
-            let start = self.dists.len();
-            acc.drain_into(&mut self.dists);
-            self.memo[i] = Memo::Done(start, self.dists.len());
+            acc.drain(|t, p| self.dists.push(t as u32, Some(p)));
+            self.dists.end_row()?;
+            self.memo[i] = Memo::Done(self.dists.len() as u32 - 1);
         }
         Ok(())
     }
@@ -160,7 +162,7 @@ impl Resolver {
             Memo::GoalVanishing => {
                 // Goal reached instantaneously on the way through.
                 self.uses_goal_sink = true;
-                self.memo[i] = Memo::Done(self.goal_sink, self.goal_sink + 1);
+                self.memo[i] = Memo::Done(self.goal_sink as u32);
             }
             Memo::OnStack => return Err(CtmcError::VanishingCycle { state_index: i }),
             Memo::Open => {
@@ -175,22 +177,27 @@ impl Resolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::imc::ImcState;
 
-    fn tangible(markovian: Vec<(usize, f64)>, goal: bool) -> ImcState {
-        ImcState { interactive: vec![], markovian, goal }
+    use crate::imc::ImcRow as Row;
+
+    fn tangible(markovian: Vec<(usize, f64)>, goal: bool) -> Row {
+        (goal, vec![], markovian)
     }
 
-    fn vanishing(interactive: Vec<usize>, goal: bool) -> ImcState {
-        ImcState { interactive, markovian: vec![], goal }
+    fn vanishing(interactive: Vec<usize>, goal: bool) -> Row {
+        (goal, interactive, vec![])
+    }
+
+    fn row(c: &Ctmc, s: usize) -> Vec<(usize, f64)> {
+        c.row(s).collect()
     }
 
     #[test]
     fn pure_markovian_chain_passes_through() {
-        let imc = Imc { states: vec![tangible(vec![(1, 2.0)], false), tangible(vec![], true)] };
+        let imc = Imc::from_rows(&[tangible(vec![(1, 2.0)], false), tangible(vec![], true)]);
         let c = eliminate(&imc).unwrap();
         assert_eq!(c.len(), 2);
-        assert_eq!(c.rates[0], vec![(1, 2.0)]);
+        assert_eq!(row(&c, 0), vec![(1, 2.0)]);
         assert_eq!(c.initial, vec![(0, 1.0)]);
         assert_eq!(c.goal, vec![false, true]);
     }
@@ -198,20 +205,18 @@ mod tests {
     #[test]
     fn vanishing_state_splits_uniformly() {
         // 0 --2.0--> 1 (vanishing) --> {2, 3} uniformly.
-        let imc = Imc {
-            states: vec![
-                tangible(vec![(1, 2.0)], false),
-                vanishing(vec![2, 3], false),
-                tangible(vec![], false),
-                tangible(vec![], true),
-            ],
-        };
+        let imc = Imc::from_rows(&[
+            tangible(vec![(1, 2.0)], false),
+            vanishing(vec![2, 3], false),
+            tangible(vec![], false),
+            tangible(vec![], true),
+        ]);
         let c = eliminate(&imc).unwrap();
         // Tangible states: 0, 2, 3 → indices 0.. in insertion order by map;
         // find rates from the initial state.
-        let row0: f64 = c.rates[find_initial(&c)].iter().map(|(_, r)| r).sum();
+        let row0: f64 = c.row(find_initial(&c)).map(|(_, r)| r).sum();
         assert!((row0 - 2.0).abs() < 1e-12);
-        let rates: Vec<f64> = c.rates[find_initial(&c)].iter().map(|&(_, r)| r).collect();
+        let rates: Vec<f64> = c.row(find_initial(&c)).map(|(_, r)| r).collect();
         assert_eq!(rates.len(), 2);
         assert!((rates[0] - 1.0).abs() < 1e-12 && (rates[1] - 1.0).abs() < 1e-12);
     }
@@ -224,31 +229,27 @@ mod tests {
     #[test]
     fn chained_vanishing_states_compose() {
         // 0 --1.0--> 1 (vanishing) --> 2 (vanishing) --> 3 tangible.
-        let imc = Imc {
-            states: vec![
-                tangible(vec![(1, 1.0)], false),
-                vanishing(vec![2], false),
-                vanishing(vec![3], false),
-                tangible(vec![], true),
-            ],
-        };
+        let imc = Imc::from_rows(&[
+            tangible(vec![(1, 1.0)], false),
+            vanishing(vec![2], false),
+            vanishing(vec![3], false),
+            tangible(vec![], true),
+        ]);
         let c = eliminate(&imc).unwrap();
         let init = find_initial(&c);
-        assert_eq!(c.rates[init].len(), 1);
-        let (t, r) = c.rates[init][0];
+        assert_eq!(c.row(init).len(), 1);
+        let (t, r) = row(&c, init)[0];
         assert!((r - 1.0).abs() < 1e-12);
         assert!(c.goal[t]);
     }
 
     #[test]
     fn vanishing_initial_state_gives_distribution() {
-        let imc = Imc {
-            states: vec![
-                vanishing(vec![1, 2], false),
-                tangible(vec![], false),
-                tangible(vec![], true),
-            ],
-        };
+        let imc = Imc::from_rows(&[
+            vanishing(vec![1, 2], false),
+            tangible(vec![], false),
+            tangible(vec![], true),
+        ]);
         let c = eliminate(&imc).unwrap();
         assert_eq!(c.initial.len(), 2);
         let mass: f64 = c.initial.iter().map(|(_, p)| p).sum();
@@ -259,30 +260,26 @@ mod tests {
     #[test]
     fn goal_inside_vanishing_chain_is_preserved() {
         // 0 --1.0--> 1 (vanishing, GOAL) --> 2 tangible (not goal).
-        let imc = Imc {
-            states: vec![
-                tangible(vec![(1, 1.0)], false),
-                ImcState { interactive: vec![2], markovian: vec![], goal: true },
-                tangible(vec![], false),
-            ],
-        };
+        let imc = Imc::from_rows(&[
+            tangible(vec![(1, 1.0)], false),
+            vanishing(vec![2], true),
+            tangible(vec![], false),
+        ]);
         let c = eliminate(&imc).unwrap();
         // Probability must flow to an absorbing goal sink, not to state 2.
         let init = find_initial(&c);
-        let (t, _) = c.rates[init][0];
+        let (t, _) = row(&c, init)[0];
         assert!(c.goal[t], "goal hit mid-chain must be preserved");
-        assert!(c.rates[t].is_empty(), "sink is absorbing");
+        assert_eq!(c.row(t).len(), 0, "sink is absorbing");
     }
 
     #[test]
     fn vanishing_cycle_detected() {
-        let imc = Imc {
-            states: vec![
-                tangible(vec![(1, 1.0)], false),
-                vanishing(vec![2], false),
-                vanishing(vec![1], false),
-            ],
-        };
+        let imc = Imc::from_rows(&[
+            tangible(vec![(1, 1.0)], false),
+            vanishing(vec![2], false),
+            vanishing(vec![1], false),
+        ]);
         assert!(matches!(eliminate(&imc), Err(CtmcError::VanishingCycle { .. })));
     }
 
@@ -294,9 +291,9 @@ mod tests {
         let mut states = vec![tangible(vec![(1, 2.0)], false)];
         states.extend((1..=N).map(|i| vanishing(vec![i + 1], false)));
         states.push(tangible(vec![], true));
-        let c = eliminate(&Imc { states }).unwrap();
+        let c = eliminate(&Imc::from_rows(&states)).unwrap();
         assert_eq!(c.len(), 2);
-        assert_eq!(c.rates[0], vec![(1, 2.0)]);
+        assert_eq!(row(&c, 0), vec![(1, 2.0)]);
         assert_eq!(c.goal, vec![false, true]);
         assert_eq!(c.initial, vec![(0, 1.0)]);
     }
@@ -308,7 +305,7 @@ mod tests {
         states.extend((1..N).map(|i| vanishing(vec![i + 1], false)));
         states.push(vanishing(vec![1], false));
         assert!(matches!(
-            eliminate(&Imc { states }),
+            eliminate(&Imc::from_rows(&states)),
             Err(CtmcError::VanishingCycle { state_index: 1 })
         ));
     }
@@ -317,23 +314,21 @@ mod tests {
     fn shared_vanishing_successors_are_memoized() {
         // Diamond: 1 → {2, 3}, both → 4 → {5, 6}; every path ends in 5 or 6
         // with probability ½, whichever way it got there.
-        let imc = Imc {
-            states: vec![
-                tangible(vec![(1, 4.0)], false),
-                vanishing(vec![2, 3], false),
-                vanishing(vec![4], false),
-                vanishing(vec![4], false),
-                vanishing(vec![5, 6], false),
-                tangible(vec![], false),
-                tangible(vec![], true),
-            ],
-        };
+        let imc = Imc::from_rows(&[
+            tangible(vec![(1, 4.0)], false),
+            vanishing(vec![2, 3], false),
+            vanishing(vec![4], false),
+            vanishing(vec![4], false),
+            vanishing(vec![5, 6], false),
+            tangible(vec![], false),
+            tangible(vec![], true),
+        ]);
         let c = eliminate(&imc).unwrap();
-        assert_eq!(c.rates[0], vec![(1, 2.0), (2, 2.0)]);
+        assert_eq!(row(&c, 0), vec![(1, 2.0), (2, 2.0)]);
     }
 
     #[test]
     fn empty_rejected() {
-        assert!(matches!(eliminate(&Imc { states: vec![] }), Err(CtmcError::Empty)));
+        assert!(matches!(eliminate(&Imc::default()), Err(CtmcError::Empty)));
     }
 }

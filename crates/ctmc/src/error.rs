@@ -18,14 +18,13 @@ pub enum CtmcError {
     Eval(EvalError),
     /// The reachable state space exceeded the configured limit.
     StateLimitExceeded { limit: usize },
+    /// A chain's edges of one kind outgrew the `u32` row offsets.
+    TransitionLimitExceeded { limit: usize },
     /// A cycle of immediate (interactive) transitions was found; the
     /// vanishing-state elimination cannot terminate (a Zeno artifact).
     VanishingCycle { state_index: usize },
     /// The model has no states (empty network).
     Empty,
-    /// A guard referenced time-dependent quantities in an untimed model
-    /// (should be prevented by the timed-model check).
-    NotDelayFree { context: String },
 }
 
 impl fmt::Display for CtmcError {
@@ -45,13 +44,11 @@ impl fmt::Display for CtmcError {
             CtmcError::StateLimitExceeded { limit } => {
                 write!(f, "reachable state space exceeds the limit of {limit} states")
             }
+            CtmcError::TransitionLimitExceeded { limit } => write!(f, "more than {limit} transitions"),
             CtmcError::VanishingCycle { state_index } => {
                 write!(f, "cycle of immediate transitions through state {state_index}")
             }
             CtmcError::Empty => write!(f, "empty model"),
-            CtmcError::NotDelayFree { context } => {
-                write!(f, "guard is not delay-free in untimed model: {context}")
-            }
         }
     }
 }
@@ -81,6 +78,7 @@ mod tests {
             CtmcError::TimedModel { variable: "x".into() },
             CtmcError::RealVariable { variable: "level".into() },
             CtmcError::StateLimitExceeded { limit: 10 },
+            CtmcError::TransitionLimitExceeded { limit: 10 },
             CtmcError::VanishingCycle { state_index: 3 },
             CtmcError::Empty,
         ] {

@@ -18,12 +18,12 @@
 //! words per state (locations, then discrete variable values, each
 //! bit-packed at the width its range needs) and an open-addressing index
 //! of `u32` state ids. The arena doubles as the BFS queue — state `i` is
-//! expanded by decoding its words into one reused [`NetState`] — so
-//! nothing is allocated per state except the state's own [`ImcState`]
-//! edge lists.
+//! expanded by decoding its words into one reused [`NetState`] — and its
+//! successors are appended straight to the [`Imc`]'s flat edge arrays, so
+//! nothing is allocated per state.
 
 use crate::error::CtmcError;
-use crate::imc::{Imc, ImcState};
+use crate::imc::Imc;
 use slim_automata::error::EvalError;
 use slim_automata::prelude::{
     LocId, NetState, Network, ProcId, StepScratch, TransId, Value, VarId, VarType,
@@ -52,15 +52,15 @@ pub struct Explored {
     pub imc: Imc,
     /// Number of stored states (= `imc.len()`).
     pub states: usize,
-    /// Memory footprint of the stored state space in bytes: the packed
-    /// arena and its index (as allocated), plus the IMC's state table and
-    /// edge lists.
+    /// Memory footprint of the stored state space in bytes: the
+    /// capacities of the packed arena, its index and the IMC's arrays.
     pub approx_memory_bytes: usize,
 }
 
 /// Explores the reachable discrete state space of an *untimed* network.
 ///
-/// `goal` labels each state; it is evaluated once per stored state.
+/// `goal` labels each state; it is evaluated once per stored state, in
+/// state order.
 ///
 /// # Errors
 /// * [`CtmcError::TimedModel`] if the network declares clocks or
@@ -82,26 +82,20 @@ pub fn explore(
             _ => return Err(CtmcError::RealVariable { variable: decl.name.clone() }),
         }
     }
-    let limit = effective_limit(config.state_limit);
-
     let tables = net.compile();
     let mut scratch = StepScratch::new();
     let mut current = net.initial_state()?;
     let mut successor = current.clone();
     let mut parts: Vec<(ProcId, TransId)> = Vec::new();
-    let mut interactive: Vec<usize> = Vec::new();
-    let mut markovian: Vec<(usize, f64)> = Vec::new();
 
-    let mut store = StateStore::new(net);
+    let mut store = StateStore::new(net, config.state_limit);
     store.intern(&current, None)?;
-    let mut states =
-        vec![ImcState { interactive: vec![], markovian: vec![], goal: goal(&current)? }];
+    let mut imc = Imc::default();
 
     let mut here = 0;
     while here < store.len() {
         store.decode(here, &mut current)?;
-        interactive.clear();
-        markovian.clear();
+        imc.goal.push(goal(&current)?);
 
         // Immediate (interactive) transitions: guarded transitions enabled
         // *now*. In an untimed model guards are delay-free, so the window
@@ -116,8 +110,7 @@ pub fn explore(
             parts.extend_from_slice(&cand.parts);
             successor.copy_from(&current);
             net.apply_mut(&tables, &mut scratch, &mut successor, &parts)?;
-            let id = visit(&mut store, &mut states, goal, limit, &successor, &current)?;
-            interactive.push(id);
+            imc.interactive.push(store.intern(&successor, Some(&current))?, None);
         }
 
         net.markovian_candidates_into(&tables, &mut scratch, &current);
@@ -125,52 +118,18 @@ pub fn explore(
             let (p, t, rate) = scratch.markovian()[m];
             successor.copy_from(&current);
             net.apply_mut(&tables, &mut scratch, &mut successor, &[(p, t)])?;
-            let id = visit(&mut store, &mut states, goal, limit, &successor, &current)?;
-            markovian.push((id, rate));
+            imc.markovian.push(store.intern(&successor, Some(&current))?, Some(rate));
         }
-
-        states[here].interactive = interactive.clone();
-        states[here].markovian = markovian.clone();
+        imc.interactive.end_row()?;
+        imc.markovian.end_row()?;
         here += 1;
     }
 
-    let edge_bytes: usize = states
-        .iter()
-        .map(|s| {
-            s.interactive.capacity() * size_of::<usize>()
-                + s.markovian.capacity() * size_of::<(usize, f64)>()
-        })
-        .sum();
-    let approx_memory_bytes =
-        store.allocated_bytes() + states.capacity() * size_of::<ImcState>() + edge_bytes;
-    Ok(Explored { states: states.len(), imc: Imc { states }, approx_memory_bytes })
-}
-
-/// The state limit actually enforced: ids are `u32` and `u32::MAX` is the
-/// index's empty-slot marker, so at most `u32::MAX` states (ids
-/// `0..u32::MAX`) are ever stored.
-fn effective_limit(state_limit: usize) -> usize {
-    state_limit.min(EMPTY as usize)
-}
-
-/// Interns `state`, a successor of the last decoded state `parent`,
-/// labelling it when it is new, and returns its id.
-fn visit(
-    store: &mut StateStore,
-    states: &mut Vec<ImcState>,
-    goal: &dyn Fn(&NetState) -> Result<bool, EvalError>,
-    limit: usize,
-    state: &NetState,
-    parent: &NetState,
-) -> Result<usize, CtmcError> {
-    let (id, new) = store.intern(state, Some(parent))?;
-    if new {
-        if id >= limit {
-            return Err(CtmcError::StateLimitExceeded { limit });
-        }
-        states.push(ImcState { interactive: vec![], markovian: vec![], goal: goal(state)? });
-    }
-    Ok(id)
+    imc.goal.shrink_to_fit();
+    imc.interactive.shrink_to_fit();
+    imc.markovian.shrink_to_fit();
+    let approx_memory_bytes = store.allocated_bytes() + imc.allocated_bytes();
+    Ok(Explored { states: imc.len(), imc, approx_memory_bytes })
 }
 
 /// Empty slot of the open-addressing index.
@@ -223,7 +182,8 @@ struct StateStore {
     fields: Vec<Field>,
     /// Words per state.
     width: usize,
-    /// `len · width` words: state `i` occupies `words[i·width..][..width]`.
+    /// `len · width` words: state `i` occupies `words[i·width..][..width]`,
+    /// reserved for the `slots.len() / 2 + 1` states the index admits.
     words: Vec<u64>,
     /// Number of stored states.
     len: usize,
@@ -234,12 +194,15 @@ struct StateStore {
     shift: u32,
     /// Encoding buffer for lookups.
     key: Vec<u64>,
+    /// Most states stored, clamped to `u32::MAX` (the empty-slot marker),
+    /// so ids are `0..u32::MAX` and CTMC indices fit in `u32` too.
+    limit: usize,
     /// Words of the state last decoded.
     base: Vec<u64>,
 }
 
 impl StateStore {
-    fn new(net: &Network) -> StateStore {
+    fn new(net: &Network, limit: usize) -> StateStore {
         const INITIAL_SLOTS: usize = 1 << 10;
         let locs = net.automata().iter().map(|a| (Kind::Loc, a.locations.len().max(1) as u64 - 1));
         let vars = net.vars().iter().map(|d| match d.ty {
@@ -269,11 +232,12 @@ impl StateStore {
         StateStore {
             fields,
             width,
-            words: Vec::new(),
+            words: Vec::with_capacity((INITIAL_SLOTS / 2 + 1) * width),
             len: 0,
             slots: vec![EMPTY; INITIAL_SLOTS],
             shift: u64::BITS - INITIAL_SLOTS.trailing_zeros(),
             key: vec![0; width],
+            limit: limit.min(EMPTY as usize),
             base: vec![0; width],
         }
     }
@@ -325,36 +289,33 @@ impl StateStore {
         Ok(())
     }
 
-    /// Returns `(id, new)`: the id of `state`'s discrete part, appending
-    /// it to the arena if it was not stored yet. `parent`, if given, must
-    /// be the state last decoded (see [`StateStore::encode`]).
-    fn intern(
-        &mut self,
-        state: &NetState,
-        parent: Option<&NetState>,
-    ) -> Result<(usize, bool), EvalError> {
+    /// Returns the id of `state`'s discrete part, appending it to the
+    /// arena if it was not stored yet. `parent`, if given, must be the
+    /// state last decoded (see [`StateStore::encode`]).
+    fn intern(&mut self, state: &NetState, parent: Option<&NetState>) -> Result<u32, CtmcError> {
         self.encode(state, parent)?;
         let mask = self.slots.len() - 1;
         let mut slot = home_slot(&self.key, self.shift);
         loop {
             match self.slots[slot] {
                 EMPTY => break,
-                id if self.words_of(id as usize) == self.key.as_slice() => {
-                    return Ok((id as usize, false))
-                }
+                id if self.words_of(id as usize) == self.key.as_slice() => return Ok(id),
                 _ => slot = (slot + 1) & mask,
             }
         }
-        let id = self.len;
-        // Ids past `u32::MAX − 1` are refused by the state limit before
-        // they are used, so the truncation never aliases a live id.
-        self.slots[slot] = id as u32;
+        // The initial state is always stored; the limit keeps ids below
+        // `u32::MAX`, the empty-slot marker.
+        if self.len > 0 && self.len >= self.limit {
+            return Err(CtmcError::StateLimitExceeded { limit: self.limit });
+        }
+        let id = self.len as u32;
+        self.slots[slot] = id;
         self.words.extend_from_slice(&self.key);
         self.len += 1;
         if 2 * self.len > self.slots.len() {
             self.grow();
         }
-        Ok((id, true))
+        Ok(id)
     }
 
     /// Doubles the index and re-inserts every stored id.
@@ -362,6 +323,7 @@ impl StateStore {
         let cap = 2 * self.slots.len();
         self.slots.clear();
         self.slots.resize(cap, EMPTY);
+        self.words.reserve_exact((cap / 2 + 1) * self.width - self.words.len());
         self.shift -= 1;
         let mask = cap - 1;
         for id in 0..self.len {
@@ -491,9 +453,10 @@ mod tests {
 
     #[test]
     fn oversized_state_limit_is_clamped_not_wrapped() {
-        assert_eq!(effective_limit(usize::MAX), u32::MAX as usize);
-        assert_eq!(effective_limit(u32::MAX as usize + 7), u32::MAX as usize);
-        assert_eq!(effective_limit(50), 50);
+        let limit = |l| StateStore::new(&counter(1), l).limit;
+        assert_eq!(limit(usize::MAX), u32::MAX as usize);
+        assert_eq!(limit(u32::MAX as usize + 7), u32::MAX as usize);
+        assert_eq!(limit(50), 50);
         let e = explore(&counter(10), &goal_false(), &ExploreConfig { state_limit: usize::MAX })
             .unwrap();
         assert_eq!(e.states, 11);
@@ -505,10 +468,10 @@ mod tests {
         // value of state `i` is `i` because the BFS is a single chain.
         let e = explore(&counter(5000), &goal_false(), &ExploreConfig::default()).unwrap();
         assert_eq!(e.states, 5001);
-        for (i, s) in e.imc.states.iter().enumerate().take(5000) {
-            assert_eq!(s.interactive, vec![i + 1]);
+        for i in 0..5000 {
+            assert_eq!(e.imc.interactive(i), [i as u32 + 1]);
         }
-        assert!(e.imc.states[5000].is_absorbing());
+        assert_eq!(e.imc.transition_count(), 5000, "state 5000 is absorbing");
     }
 
     #[test]
@@ -516,8 +479,8 @@ mod tests {
         let net = two_state();
         let goal = |s: &NetState| Ok(s.locs[0] == LocId(1));
         let e = explore(&net, &goal, &ExploreConfig::default()).unwrap();
-        assert!(!e.imc.states[0].goal);
-        assert!(e.imc.states[1].goal);
+        assert!(!e.imc.goal(0));
+        assert!(e.imc.goal(1));
     }
 
     #[test]
@@ -545,7 +508,7 @@ mod tests {
         };
         let e = explore(&net, &goal, &ExploreConfig::default()).unwrap();
         assert_eq!(e.states, 4);
-        let goals: Vec<bool> = e.imc.states.iter().map(|s| s.goal).collect();
+        let goals: Vec<bool> = (0..e.states).map(|s| e.imc.goal(s)).collect();
         assert_eq!(goals, [false, false, false, true]);
     }
 
@@ -598,7 +561,7 @@ mod tests {
         let net = b.build().unwrap();
         let e = explore(&net, &goal_false(), &ExploreConfig::default()).unwrap();
         assert_eq!(e.states, 2);
-        assert!(e.imc.states[0].is_vanishing());
-        assert!(e.imc.states[1].is_absorbing());
+        assert!(e.imc.is_vanishing(0));
+        assert_eq!(e.imc.transition_count(), 1, "state 1 is absorbing");
     }
 }

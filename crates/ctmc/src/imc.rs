@@ -2,57 +2,73 @@
 //! state-space exploration and the CTMC (the role NuSMV's reachable state
 //! graph plays in the COMPASS pipeline, §IV).
 
-/// One explored state of an [`Imc`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ImcState {
-    /// Immediate (interactive) successors: indices of target states.
-    /// Non-empty ⇒ the state is *vanishing* under maximal progress.
-    pub interactive: Vec<usize>,
-    /// Markovian successors `(target, rate)`.
-    pub markovian: Vec<(usize, f64)>,
-    /// Whether the goal predicate holds in this state.
-    pub goal: bool,
-}
+use crate::csr::Rows;
 
-impl ImcState {
-    /// True if immediate transitions leave this state (maximal progress
-    /// makes Markovian transitions from it unreachable).
-    pub fn is_vanishing(&self) -> bool {
-        !self.interactive.is_empty()
-    }
+/// A state for [`Imc::from_rows`]: `(goal, interactive, Markovian (target, rate))`.
+pub type ImcRow = (bool, Vec<usize>, Vec<(usize, f64)>);
 
-    /// True if no transition leaves this state.
-    pub fn is_absorbing(&self) -> bool {
-        self.interactive.is_empty() && self.markovian.is_empty()
-    }
-}
-
-/// An interactive Markov chain over explored discrete states.
-#[derive(Debug, Clone, PartialEq)]
+/// An interactive Markov chain over explored discrete states, its edges in
+/// compressed-sparse-row form. State 0 is the initial state; a state with
+/// immediate successors is *vanishing* (maximal progress makes its
+/// Markovian edges unreachable).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Imc {
-    /// States; index 0 is the initial state.
-    pub states: Vec<ImcState>,
+    pub(crate) goal: Vec<bool>,
+    pub(crate) interactive: Rows,
+    pub(crate) markovian: Rows,
 }
 
 impl Imc {
+    /// Builds an IMC from per-state rows, state 0 first. Panics on a
+    /// target or an edge count past `u32::MAX`.
+    pub fn from_rows(rows: &[ImcRow]) -> Imc {
+        Imc {
+            goal: rows.iter().map(|r| r.0).collect(),
+            interactive: Rows::from_lists(rows.iter().map(|r| r.1.iter().map(|&t| (t, None)))),
+            markovian: Rows::from_lists(
+                rows.iter().map(|r| r.2.iter().map(|&(t, q)| (t, Some(q)))),
+            ),
+        }
+    }
+
     /// Number of states.
     pub fn len(&self) -> usize {
-        self.states.len()
+        self.goal.len()
     }
 
     /// True if there are no states.
     pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
+        self.goal.is_empty()
+    }
+
+    /// Whether the goal predicate holds in state `s`.
+    pub fn goal(&self, s: usize) -> bool {
+        self.goal[s]
+    }
+
+    /// The immediate (interactive) successors of state `s`, in order.
+    pub fn interactive(&self, s: usize) -> &[u32] {
+        self.interactive.targets(s)
+    }
+
+    /// The Markovian `(target, rate)` edges of state `s`, in order.
+    pub fn markovian(&self, s: usize) -> impl ExactSizeIterator<Item = (usize, f64)> + '_ {
+        self.markovian.row(s)
+    }
+
+    /// True if immediate transitions leave state `s`.
+    pub fn is_vanishing(&self, s: usize) -> bool {
+        !self.interactive(s).is_empty()
     }
 
     /// Total number of transitions (interactive + Markovian).
     pub fn transition_count(&self) -> usize {
-        self.states.iter().map(|s| s.interactive.len() + s.markovian.len()).sum()
+        self.interactive.edges() + self.markovian.edges()
     }
 
-    /// Number of vanishing states.
-    pub fn vanishing_count(&self) -> usize {
-        self.states.iter().filter(|s| s.is_vanishing()).count()
+    /// Bytes allocated by the IMC's arrays (their capacities).
+    pub fn allocated_bytes(&self) -> usize {
+        self.goal.capacity() + self.interactive.allocated_bytes() + self.markovian.allocated_bytes()
     }
 }
 
@@ -61,27 +77,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn classification() {
-        let v = ImcState { interactive: vec![1], markovian: vec![(2, 1.0)], goal: false };
-        assert!(v.is_vanishing() && !v.is_absorbing());
-        let t = ImcState { interactive: vec![], markovian: vec![(2, 1.0)], goal: false };
-        assert!(!t.is_vanishing() && !t.is_absorbing());
-        let a = ImcState { interactive: vec![], markovian: vec![], goal: true };
-        assert!(a.is_absorbing());
-    }
-
-    #[test]
-    fn counts() {
-        let imc = Imc {
-            states: vec![
-                ImcState { interactive: vec![1, 2], markovian: vec![], goal: false },
-                ImcState { interactive: vec![], markovian: vec![(2, 0.5)], goal: false },
-                ImcState { interactive: vec![], markovian: vec![], goal: true },
-            ],
-        };
+    fn rows_and_counts() {
+        let imc = Imc::from_rows(&[
+            (false, vec![1, 2], vec![(2, 0.25)]),
+            (false, vec![], vec![(2, 0.5), (0, 1.5)]),
+            (true, vec![], vec![]),
+        ]);
         assert_eq!(imc.len(), 3);
-        assert_eq!(imc.transition_count(), 3);
-        assert_eq!(imc.vanishing_count(), 1);
         assert!(!imc.is_empty());
+        assert_eq!(imc.transition_count(), 5);
+        assert_eq!(imc.interactive(0), [1, 2]);
+        assert!(imc.interactive(1).is_empty() && imc.interactive(2).is_empty());
+        assert_eq!(imc.markovian(0).collect::<Vec<_>>(), [(2, 0.25)]);
+        assert_eq!(imc.markovian(1).collect::<Vec<_>>(), [(2, 0.5), (0, 1.5)]);
+        assert_eq!(imc.markovian(2).len(), 0);
+        assert!(imc.is_vanishing(0) && !imc.is_vanishing(1));
+        assert_eq!((imc.goal(0), imc.goal(2)), (false, true));
+        let bytes = imc.goal.capacity()
+            + imc.interactive.allocated_bytes()
+            + imc.markovian.allocated_bytes();
+        assert_eq!(imc.allocated_bytes(), bytes);
     }
 }

@@ -37,6 +37,7 @@
 
 mod accumulate;
 pub mod analysis;
+mod csr;
 pub mod ctmc;
 pub mod eliminate;
 pub mod error;
@@ -51,6 +52,6 @@ pub use ctmc::Ctmc;
 pub use eliminate::eliminate;
 pub use error::CtmcError;
 pub use explore::{explore, ExploreConfig, Explored};
-pub use imc::{Imc, ImcState};
+pub use imc::{Imc, ImcRow};
 pub use lumping::{lump, Lumped};
 pub use transient::{timed_reachability, transient_distribution, TransientConfig};

@@ -31,22 +31,15 @@ pub fn lump(ctmc: &Ctmc) -> Lumped {
     if n == 0 {
         return Lumped { quotient: ctmc.clone(), block_of: vec![] };
     }
-
-    // Initial partition by goal label.
-    let mut block_of: Vec<usize> = ctmc.goal.iter().map(|&g| usize::from(g)).collect();
-    let mut block_count = if ctmc.goal.iter().any(|&g| g) && ctmc.goal.iter().any(|&g| !g) {
-        2
-    } else {
-        // Single block: relabel everyone to block 0.
-        block_of.fill(0);
-        1
-    };
+    // Initial partition by goal label (one block if all states agree).
+    let mixed = ctmc.goal.iter().any(|&g| g) && ctmc.goal.iter().any(|&g| !g);
+    let mut block_of: Vec<usize> = ctmc.goal.iter().map(|&g| usize::from(g && mixed)).collect();
+    let mut block_count = 1 + usize::from(mixed);
 
     // Working storage reused by every round: the per-block rate
-    // accumulator, the drained row, and all signatures back to back
-    // (state `s`'s is `sigs[sig_end[s - 1]..sig_end[s]]`).
+    // accumulator and all signatures back to back (state `s`'s is
+    // `sigs[sig_end[s - 1]..sig_end[s]]`).
     let mut acc = Accumulator::new(n);
-    let mut row: Vec<(usize, f64)> = Vec::new();
     let mut sigs: Vec<(usize, u64)> = Vec::new();
     let mut sig_end: Vec<usize> = Vec::with_capacity(n);
     let mut next: Vec<usize> = Vec::with_capacity(n);
@@ -56,12 +49,10 @@ pub fn lump(ctmc: &Ctmc) -> Lumped {
         sigs.clear();
         sig_end.clear();
         for s in 0..n {
-            for &(t, r) in &ctmc.rates[s] {
+            for (t, r) in ctmc.row(s) {
                 acc.add(block_of[t], r);
             }
-            row.clear();
-            acc.drain_into(&mut row);
-            sigs.extend(row.iter().map(|&(b, r)| (b, quantize(r))));
+            acc.drain(|b, r| sigs.push((b, quantize(r))));
             sig_end.push(sigs.len());
         }
 
@@ -84,30 +75,26 @@ pub fn lump(ctmc: &Ctmc) -> Lumped {
         std::mem::swap(&mut block_of, &mut next);
     }
 
-    // Build the quotient: pick one representative per block (ordinary
+    // Build the quotient from each block's first member (ordinary
     // lumpability guarantees all members agree on block-cumulative rates).
-    let mut representative: Vec<Option<usize>> = vec![None; block_count];
-    for s in 0..n {
-        if representative[block_of[s]].is_none() {
-            representative[block_of[s]] = Some(s);
-        }
+    let mut representative = vec![n; block_count];
+    for s in (0..n).rev() {
+        representative[block_of[s]] = s;
     }
-    let mut rates: Vec<Vec<(usize, f64)>> = Vec::with_capacity(block_count);
-    let mut goal: Vec<bool> = Vec::with_capacity(block_count);
+    let mut quotient = Ctmc::default();
     for &rep in &representative {
-        let rep = rep.expect("every block has a member");
-        for &(t, r) in &ctmc.rates[rep] {
+        for (t, r) in ctmc.row(rep) {
             acc.add(block_of[t], r);
         }
-        rates.push(acc.take());
-        goal.push(ctmc.goal[rep]);
+        acc.drain(|b, r| quotient.rates.push(b as u32, Some(r)));
+        quotient.rates.end_row().expect("a quotient row is no longer than its representative's");
+        quotient.goal.push(ctmc.goal[rep]);
     }
     for &(s, p) in &ctmc.initial {
         acc.add(block_of[s], p);
     }
-    let initial = acc.take();
+    acc.drain(|b, p| quotient.initial.push((b, p)));
 
-    let quotient = Ctmc { rates, goal, initial };
     debug_assert!(quotient.check_valid().is_ok(), "{:?}", quotient.check_valid());
     Lumped { quotient, block_of }
 }
@@ -133,16 +120,16 @@ mod tests {
     /// (down,up), (down,down); the two mixed states are lumpable.
     fn redundant_pair(lambda: f64, mu: f64) -> Ctmc {
         // 0 = uu, 1 = ud, 2 = du, 3 = dd
-        Ctmc {
-            rates: vec![
+        Ctmc::from_rows(
+            &[
                 vec![(1, lambda), (2, lambda)],
                 vec![(0, mu), (3, lambda)],
                 vec![(0, mu), (3, lambda)],
                 vec![],
             ],
-            goal: vec![false, false, false, true],
-            initial: vec![(0, 1.0)],
-        }
+            vec![false, false, false, true],
+            vec![(0, 1.0)],
+        )
     }
 
     #[test]
@@ -155,26 +142,24 @@ mod tests {
         // Rates from uu to the merged block sum: 2λ.
         let uu = l.block_of[0];
         let merged = l.block_of[1];
-        let rate: f64 =
-            l.quotient.rates[uu].iter().filter(|&&(t, _)| t == merged).map(|&(_, r)| r).sum();
+        let rate: f64 = l.quotient.row(uu).filter(|&(t, _)| t == merged).map(|(_, r)| r).sum();
         assert!((rate - 0.2).abs() < 1e-9);
     }
 
     #[test]
     fn goal_labels_never_merge() {
-        let c =
-            Ctmc { rates: vec![vec![], vec![]], goal: vec![false, true], initial: vec![(0, 1.0)] };
+        let c = Ctmc::from_rows(&[vec![], vec![]], vec![false, true], vec![(0, 1.0)]);
         let l = lump(&c);
         assert_eq!(l.quotient.len(), 2);
     }
 
     #[test]
     fn identical_absorbing_states_merge() {
-        let c = Ctmc {
-            rates: vec![vec![(1, 1.0), (2, 1.0)], vec![], vec![]],
-            goal: vec![false, false, false],
-            initial: vec![(0, 1.0)],
-        };
+        let c = Ctmc::from_rows(
+            &[vec![(1, 1.0), (2, 1.0)], vec![], vec![]],
+            vec![false, false, false],
+            vec![(0, 1.0)],
+        );
         let l = lump(&c);
         assert_eq!(l.quotient.len(), 2);
         assert_eq!(l.block_of[1], l.block_of[2]);
@@ -182,11 +167,11 @@ mod tests {
 
     #[test]
     fn asymmetric_rates_do_not_merge() {
-        let c = Ctmc {
-            rates: vec![vec![(1, 1.0), (2, 1.0)], vec![(3, 1.0)], vec![(3, 2.0)], vec![]],
-            goal: vec![false, false, false, true],
-            initial: vec![(0, 1.0)],
-        };
+        let c = Ctmc::from_rows(
+            &[vec![(1, 1.0), (2, 1.0)], vec![(3, 1.0)], vec![(3, 2.0)], vec![]],
+            vec![false, false, false, true],
+            vec![(0, 1.0)],
+        );
         let l = lump(&c);
         assert_ne!(l.block_of[1], l.block_of[2], "different rates to goal");
         assert_eq!(l.quotient.len(), 4);
@@ -197,11 +182,11 @@ mod tests {
         // An absolute-granularity quantizer (`(r * 1e12) as u64`)
         // saturates above ~1.8e7, merging states 1 and 2 and moving P from
         // 0.711 to 0.591.
-        let c = Ctmc {
-            rates: vec![vec![(1, 1e8), (2, 1e8)], vec![(3, 2e7)], vec![(3, 4e7)], vec![]],
-            goal: vec![false, false, false, true],
-            initial: vec![(0, 1.0)],
-        };
+        let c = Ctmc::from_rows(
+            &[vec![(1, 1e8), (2, 1e8)], vec![(3, 2e7)], vec![(3, 4e7)], vec![]],
+            vec![false, false, false, true],
+            vec![(0, 1.0)],
+        );
         let l = lump(&c);
         assert_ne!(l.block_of[1], l.block_of[2], "2e7 and 4e7 must not merge");
         let cfg = TransientConfig::default();
@@ -223,11 +208,7 @@ mod tests {
 
     #[test]
     fn initial_distribution_projected() {
-        let c = Ctmc {
-            rates: vec![vec![], vec![]],
-            goal: vec![false, false],
-            initial: vec![(0, 0.5), (1, 0.5)],
-        };
+        let c = Ctmc::from_rows(&[vec![], vec![]], vec![false, false], vec![(0, 0.5), (1, 0.5)]);
         let l = lump(&c);
         assert_eq!(l.quotient.len(), 1);
         assert_eq!(l.quotient.initial, vec![(0, 1.0)]);
@@ -235,7 +216,7 @@ mod tests {
 
     #[test]
     fn empty_chain() {
-        let c = Ctmc { rates: vec![], goal: vec![], initial: vec![] };
+        let c = Ctmc::from_rows(&[], vec![], vec![]);
         let l = lump(&c);
         assert_eq!(l.quotient.len(), 0);
     }

@@ -40,6 +40,19 @@ fn err(kind: LangErrorKind) -> LangError {
     LangError { kind, pos: Pos::START }
 }
 
+/// The absolute path `prefix.rest₁.rest₂…` as one dotted string — what
+/// `QName::to_string` gives for the extended name, without building it.
+fn path_of<'a>(prefix: &'a QName, rest: impl IntoIterator<Item = &'a String>) -> String {
+    let mut name = String::new();
+    for (i, seg) in prefix.segments().iter().chain(rest).enumerate() {
+        if i > 0 {
+            name.push('.');
+        }
+        name.push_str(seg);
+    }
+    name
+}
+
 /// Lowers `root_ty.root_im` of `model` into a network, rooted at
 /// `root_name`.
 ///
@@ -136,15 +149,13 @@ impl<'m> Lowering<'m> {
             let ct = self.type_of(inst);
             for f in &ct.features {
                 if let Some(ty) = f.data {
-                    let name = inst.path.child(f.name.clone()).to_string();
-                    self.declare_var(&name, ty, f.default)?;
+                    self.declare_var(&path_of(&inst.path, [&f.name]), ty, f.default)?;
                 }
             }
             let ci = self.impl_of(inst);
             for sub in &ci.subcomponents {
                 if let Subcomponent::Data { name, ty, init, .. } = sub {
-                    let full = inst.path.child(name.clone()).to_string();
-                    self.declare_var(&full, *ty, *init)?;
+                    self.declare_var(&path_of(&inst.path, [name]), *ty, *init)?;
                 }
             }
         }
@@ -175,34 +186,22 @@ impl<'m> Lowering<'m> {
             let ct = self.type_of(inst);
             for f in &ct.features {
                 if f.is_event() {
-                    let name = inst.path.child(f.name.clone()).to_string();
                     let node = self.uf.add();
-                    self.event_ports.insert(name, node);
+                    self.event_ports.insert(path_of(&inst.path, [&f.name]), node);
                 }
             }
         }
         Ok(())
     }
 
-    /// Resolves a connection endpoint `q` (relative to `inst`) to the
+    /// Resolves a connection endpoint `q` (relative to `inst`; a
+    /// child-instance port's leading segments name a descendant) to the
     /// absolute port path, and whether it is an event port.
     fn resolve_port(&self, inst: &Instance, q: &QName) -> Result<(String, bool), LangError> {
-        let abs = match q.segments() {
-            [port] => inst.path.child(port.clone()),
-            segs => {
-                // Child-instance port: all but the last segment name a
-                // descendant, the last the port.
-                let mut path = inst.path.clone();
-                for s in &segs[..segs.len() - 1] {
-                    path = path.child(s.clone());
-                }
-                path.child(segs[segs.len() - 1].clone())
-            }
-        };
-        let name = abs.to_string();
-        if self.event_ports.contains_key(&name) {
+        let name = path_of(&inst.path, q.segments());
+        if self.event_ports.contains_key(name.as_str()) {
             Ok((name, true))
-        } else if self.vars.contains_key(&name) {
+        } else if self.vars.contains_key(name.as_str()) {
             Ok((name, false))
         } else {
             Err(err(LangErrorKind::Unknown(format!("port `{q}` (resolved `{name}`)"))))
@@ -252,13 +251,9 @@ impl<'m> Lowering<'m> {
 
     /// Resolves a data reference `q` relative to instance path `prefix`.
     fn resolve_var(&self, prefix: &QName, q: &QName) -> Result<VarId, LangError> {
-        let mut path = prefix.clone();
-        for s in q.segments() {
-            path = path.child(s.clone());
-        }
-        let name = path.to_string();
+        let name = path_of(prefix, q.segments());
         self.vars
-            .get(&name)
+            .get(name.as_str())
             .map(|(v, _)| *v)
             .ok_or_else(|| err(LangErrorKind::Unknown(format!("`{q}` (resolved `{name}`)"))))
     }

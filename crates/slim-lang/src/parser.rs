@@ -113,14 +113,19 @@ impl Parser {
         }
     }
 
+    /// Consumes an identifier. An `Ident` token's text is taken, not
+    /// cloned: the parser never looks back at a passed token.
     fn ident(&mut self) -> Result<String, LangError> {
-        match Self::soft_ident(self.peek_kind()).map(str::to_string) {
-            Some(s) => {
-                self.bump();
-                Ok(s)
-            }
-            None => Err(self.error("identifier")),
-        }
+        let at = self.at.min(self.tokens.len() - 1);
+        let s = match &mut self.tokens[at].kind {
+            TokenKind::Ident(s) => std::mem::take(s),
+            kind => match Self::soft_ident(kind) {
+                Some(kw) => kw.to_string(),
+                None => return Err(self.error("identifier")),
+            },
+        };
+        self.bump();
+        Ok(s)
     }
 
     fn qname(&mut self) -> Result<QName, LangError> {

@@ -9,7 +9,7 @@
 //! scheduled heavy job / `cargo test -- --ignored`.
 
 use slim_ctmc::analysis::{check_timed_reachability, PipelineConfig};
-use slim_ctmc::{explore, ExploreConfig, Imc, ImcState};
+use slim_ctmc::{explore, ExploreConfig, Imc};
 use slim_models::{
     repair_failure_probability, repair_network, sensor_filter_network, voting_failure_probability,
     voting_network, RepairParams, SensorFilterParams, VotingParams, GOAL_VAR, REPAIR_GOAL_VAR,
@@ -242,7 +242,7 @@ fn reference_imc(net: &Network, goal: &dyn Fn(&NetState) -> bool) -> Imc {
     let initial = net.initial_state().unwrap();
     let mut index = std::collections::HashMap::from([(key(&initial), 0usize)]);
     let mut queue = vec![initial];
-    let mut imc = Imc { states: Vec::new() };
+    let mut rows = Vec::new();
     let mut intern = |next: NetState, queue: &mut Vec<NetState>| {
         let fresh = index.len();
         let id = *index.entry(key(&next)).or_insert(fresh);
@@ -254,21 +254,21 @@ fn reference_imc(net: &Network, goal: &dyn Fn(&NetState) -> bool) -> Imc {
     let mut here = 0;
     while here < queue.len() {
         let state = queue[here].clone();
-        let mut s = ImcState { interactive: vec![], markovian: vec![], goal: goal(&state) };
+        let (mut interactive, mut markovian) = (vec![], vec![]);
         for cand in net.guarded_candidates(&state).unwrap() {
             if cand.window.contains(0.0) {
                 let next = net.apply(&state, &cand.transition).unwrap();
-                s.interactive.push(intern(next, &mut queue));
+                interactive.push(intern(next, &mut queue));
             }
         }
         for cand in net.markovian_candidates(&state) {
             let next = net.apply(&state, &cand.transition).unwrap();
-            s.markovian.push((intern(next, &mut queue), cand.rate));
+            markovian.push((intern(next, &mut queue), cand.rate));
         }
-        imc.states.push(s);
+        rows.push((goal(&state), interactive, markovian));
         here += 1;
     }
-    imc
+    Imc::from_rows(&rows)
 }
 
 /// The production explorer (compiled kernel, packed state store) builds
@@ -291,3 +291,38 @@ fn explore_matches_reference_step_api() {
         assert_eq!(explored.states, explored.imc.len());
     }
 }
+
+/// `Explored::approx_memory_bytes` is the capacity sum of every array
+/// `explore` holds, re-derived here from public counts: the IMC's arrays
+/// trimmed to one goal byte and two `u32` row ends per state, a `u32` per
+/// interactive edge and a `u32` target plus an `f64` rate per Markovian
+/// edge; the state index's `u32` slots (a power of two, at least 1024 and
+/// at least twice the states); and the arena's whole `u64` words per
+/// state, reserved for half the slots plus one. Bytes per state at
+/// sensor–filter n = 6 stay under a pinned bound.
+#[test]
+fn explore_memory_accounting() {
+    let net = sensor_filter_network(&SensorFilterParams { redundancy: 6, ..Default::default() });
+    let failed = net.var_id(GOAL_VAR).unwrap();
+    let goal = move |s: &NetState| s.nu.get(failed).map(|v| v.as_bool().unwrap_or(false));
+    let e = explore(&net, &goal, &ExploreConfig::default()).unwrap();
+    let (imc, len) = (&e.imc, e.states);
+    let interactive: usize = (0..len).map(|s| imc.interactive(s).len()).sum();
+    let markovian: usize = (0..len).map(|s| imc.markovian(s).count()).sum();
+    assert_eq!(interactive + markovian, imc.transition_count());
+    let imc_bytes = 9 * len + 4 * interactive + 12 * markovian;
+    assert_eq!(imc.allocated_bytes(), imc_bytes, "IMC arrays are trimmed to their lengths");
+
+    let slots = (2 * len).next_power_of_two().max(1024);
+    let arena = e.approx_memory_bytes - imc_bytes - 4 * slots;
+    let word_column = (slots / 2 + 1) * 8;
+    assert_eq!(arena % word_column, 0, "arena of {arena} B is not whole words per state");
+    assert!(arena / word_column >= 1, "a state is at least one word");
+
+    let per_state = e.approx_memory_bytes as f64 / len as f64;
+    assert!(per_state <= BYTES_PER_STATE_N6, "{per_state:.1} B per state at n = 6");
+}
+
+/// Pinned over the measured 88.2 B per state (1 444 320 B for 16 380
+/// states), with headroom.
+const BYTES_PER_STATE_N6: f64 = 100.0;

@@ -7,7 +7,7 @@ mod common;
 use common::*;
 use slimsim::ctmc::ctmc::Ctmc;
 use slimsim::ctmc::eliminate::eliminate;
-use slimsim::ctmc::imc::{Imc, ImcState};
+use slimsim::ctmc::imc::Imc;
 use slimsim::ctmc::lumping::lump;
 use slimsim::ctmc::transient::{timed_reachability, transient_distribution, TransientConfig};
 
@@ -39,7 +39,7 @@ fn ctmc_with_rates(
         })
         .collect();
     let goal = (0..n).map(|_| rng.gen::<bool>()).collect();
-    Ctmc { rates, goal, initial: vec![(0, 1.0)] }
+    Ctmc::from_rows(&rates, goal, vec![(0, 1.0)])
 }
 
 #[test]
@@ -79,7 +79,7 @@ fn race(rng: &mut StdRng, mut rate: impl FnMut(&mut StdRng) -> f64) -> Ctmc {
     }
     rates.push(vec![]);
     let goal = (0..k + 2).map(|s| s == k + 1).collect();
-    Ctmc { rates, goal, initial: vec![(0, 1.0)] }
+    Ctmc::from_rows(&rates, goal, vec![(0, 1.0)])
 }
 
 /// Lumping must be exact at every rate magnitude. Each chain draws its
@@ -160,19 +160,19 @@ fn elimination_conserves_probability() {
         let fan = usize_in(&mut rng, 1, 3);
         // A vanishing chain: tangible 0 --1.0--> vanishing 1..n-2 --> tangible n-1.
         let mut states = Vec::new();
-        states.push(ImcState { interactive: vec![], markovian: vec![(1, 1.0)], goal: false });
+        states.push((false, vec![], vec![(1, 1.0)]));
         for i in 1..n - 1 {
             let succs: Vec<usize> = (0..fan).map(|k| ((i + 1 + k) % n).max(1)).collect();
             let succs = succs.into_iter().map(|s| if s <= i { n - 1 } else { s }).collect();
-            states.push(ImcState { interactive: succs, markovian: vec![], goal: false });
+            states.push((false, succs, vec![]));
         }
-        states.push(ImcState { interactive: vec![], markovian: vec![], goal: true });
-        let imc = Imc { states };
+        states.push((true, vec![], vec![]));
+        let imc = Imc::from_rows(&states);
         let ctmc = eliminate(&imc).expect("acyclic vanishing chain");
         assert!(ctmc.check_valid().is_ok(), "case {case}: {:?}", ctmc.check_valid());
         // All rate mass of state 0 is conserved (redistributed, not lost).
         let init_ctmc_state = ctmc.initial[0].0;
-        let total: f64 = ctmc.rates[init_ctmc_state].iter().map(|&(_, r)| r).sum();
+        let total: f64 = ctmc.row(init_ctmc_state).map(|(_, r)| r).sum();
         assert!((total - 1.0).abs() < 1e-9, "case {case}: rate mass {total}");
     }
 }
