@@ -68,9 +68,8 @@ pub mod prelude {
         ActionId, Automaton, Effect, GuardKind, LocId, Location, ProcId, TransId, Transition,
     };
     pub use crate::compiled::{
-        fusion_for_digram, is_fused_op_name, profile_labels, profile_shape, BytecodeError,
-        BytecodeReport, CandidateBuf, CompileOptions, CompiledPredicate, StepScratch, StepTables,
-        PROFILE_OP_NAMES,
+        profile_labels, profile_shape, BytecodeError, BytecodeReport, CandidateBuf, CompileOptions,
+        CompiledPredicate, StepScratch, StepTables, PROFILE_OP_NAMES,
     };
     pub use crate::error::{EvalError, ModelError};
     pub use crate::eval::{eval, eval_bool, eval_real, Valuation};

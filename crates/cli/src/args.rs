@@ -33,7 +33,6 @@ const FLAG_KEYS: &[&str] = &[
     "verify-bytecode",
     "thorough",
     "no-shrink",
-    "suggest-fusions",
 ];
 
 impl Args {

@@ -1,6 +1,6 @@
 //! `slimsim fuzz` — seeded differential fuzzing of the whole pipeline.
 //!
-//! Generates models with `slim-fuzz`, runs the eight-oracle differential
+//! Generates models with `slim-fuzz`, runs the seven-oracle differential
 //! stack on each, shrinks any failure, and (optionally) records it into
 //! the regression corpus. `--replay <dir>` instead re-runs the committed
 //! corpus and fails on any regression — the hard gate CI uses.

@@ -5,9 +5,7 @@
 //! hierarchical phase-attribution tree. `--out <file>` additionally
 //! writes the versioned [`ProfileReport`] JSON document, which is
 //! byte-identical across worker counts at a fixed seed (see
-//! `docs/profiling.md`). `--suggest-fusions` annotates the top-K digrams
-//! with the compiler's superinstruction (if any) that covers each, so
-//! users can see why a model does or doesn't benefit from fusion.
+//! `docs/profiling.md`).
 
 use crate::args::Args;
 use crate::common::{
@@ -59,49 +57,8 @@ pub fn run(args: &Args) -> Result<(), String> {
             println!("profile written to {path}");
         }
     }
-    if args.has_flag("suggest-fusions") {
-        let top = args.opt_usize("top", 10)?;
-        print!("{}", render_fusion_suggestions(&report, top));
-    }
     println!("{}", result.estimate);
     Ok(())
-}
-
-/// Renders the top-K digrams with the fused opcode (if any) the peephole
-/// pass rewrites each into. Printed even under `--quiet` so CI can
-/// capture the section as a standalone artifact.
-fn render_fusion_suggestions(report: &ProfileReport, top: usize) -> String {
-    use std::fmt::Write as _;
-
-    let mut out = String::new();
-    let shown = report.digrams.len().min(top);
-    let _ = writeln!(out, "fusion coverage of the top {shown} digram(s):");
-    if report.digrams.is_empty() {
-        let _ = writeln!(out, "  (no digrams recorded — no bytecode executed)");
-        return out;
-    }
-    let width = report.digrams.iter().take(top).map(|e| e.label.len()).max().unwrap_or(0);
-    let mut covered = 0usize;
-    for e in report.digrams.iter().take(top) {
-        use slim_automata::prelude::{fusion_for_digram, is_fused_op_name};
-        let pair = e.label.split_once(" -> ");
-        let note = match pair.and_then(|(a, b)| fusion_for_digram(a, b)) {
-            Some(f) => {
-                covered += 1;
-                format!("fused into {f}")
-            }
-            // The profiled stream is post-fusion: a digram touching a
-            // superinstruction is already the peephole pass's output.
-            None if pair.is_some_and(|(a, b)| is_fused_op_name(a) || is_fused_op_name(b)) => {
-                covered += 1;
-                "already fused".to_string()
-            }
-            None => "not fused".to_string(),
-        };
-        let _ = writeln!(out, "  {:width$}  {:>12}  {note}", e.label, e.count);
-    }
-    let _ = writeln!(out, "  {covered}/{shown} digram(s) covered by the current fusion set");
-    out
 }
 
 #[cfg(test)]
@@ -178,29 +135,6 @@ mod tests {
             assert!(col.parse::<u32>().unwrap() > 0);
         }
         assert!(spanned.count() > 0, "fired .slim transitions carry source spans");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn suggest_fusions_annotates_digrams() {
-        let path = tmp("slimsim_test_profile_fusions.json");
-        let a = args(&format!(
-            "profile sensor-filter --size 2 --bound 1.0 --epsilon 0.2 --delta 0.2 --quiet \
-             --suggest-fusions --out {}",
-            path.display()
-        ));
-        run(&a).expect("profiled run succeeds");
-        let text = std::fs::read_to_string(&path).unwrap();
-        let report = ProfileReport::from_json(&Json::parse(&text).unwrap()).unwrap();
-        let rendered = render_fusion_suggestions(&report, 10);
-        assert!(rendered.contains("fusion coverage"), "{rendered}");
-        assert!(rendered.contains("digram(s) covered by the current fusion set"), "{rendered}");
-        // The sensor filter's guards are fused compares, so the hottest
-        // digrams must be recognized as already-fused superinstructions.
-        assert!(
-            rendered.contains("already fused") || rendered.contains("fused into"),
-            "{rendered}"
-        );
         let _ = std::fs::remove_file(&path);
     }
 

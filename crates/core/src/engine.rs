@@ -281,7 +281,7 @@ impl<'a> PathGenerator<'a> {
     }
 
     /// [`PathGenerator::new`] under explicit [`CompileOptions`]: the
-    /// fusion-equivalence harnesses pin [`CompileOptions::reference`] to
+    /// kernel-equivalence harnesses pin [`CompileOptions::reference`] to
     /// get the unfused, unspecialized kernel for differential comparison.
     pub fn with_compile_options(
         net: &'a Network,

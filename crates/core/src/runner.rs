@@ -778,7 +778,12 @@ mod tests {
             .collect();
         assert_eq!(
             ops,
-            vec![("solve.cmp_var_const", 4), ("solve.cmp_var_const_and", 4)],
+            vec![
+                ("solve.intersect", 4),
+                ("solve.cmp", 8),
+                ("solve.aff_const", 8),
+                ("solve.aff_var", 8),
+            ],
             "opcode counts drifted; update the golden vector deliberately"
         );
         let n_ops = prof.shape().n_ops;
@@ -798,11 +803,17 @@ mod tests {
                 )
             })
             .collect();
-        // The two-atom conjunction fuses to `cmp; cmp_and`, leaving one
-        // digram per guard evaluation.
+        // The two-atom conjunction runs as its `Conj` shortcut, which
+        // reports the plain program: two `aff_var; aff_const; cmp` atoms
+        // and an `intersect`, six digrams per guard evaluation.
         assert_eq!(
             digrams,
-            vec![("solve.cmp_var_const -> solve.cmp_var_const_and".to_string(), 4)]
+            vec![
+                ("solve.cmp -> solve.intersect".to_string(), 4),
+                ("solve.cmp -> solve.aff_var".to_string(), 4),
+                ("solve.aff_const -> solve.cmp".to_string(), 8),
+                ("solve.aff_var -> solve.aff_const".to_string(), 8),
+            ]
         );
         // And the counts are a pure function of the seed: a second run
         // reproduces them exactly.

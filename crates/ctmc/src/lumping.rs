@@ -24,8 +24,11 @@ pub struct Lumped {
 /// Computes the coarsest ordinary lumping of `ctmc` that respects the goal
 /// labeling.
 ///
-/// Blocks are numbered by first occurrence in state order, so the
-/// quotient is deterministic.
+/// Blocks are numbered by first occurrence in state order — except when
+/// the goal-label partition is already stable, which ends refinement
+/// before any renumbering: the non-goal states are then block 0 and the
+/// goal states block 1, even when state 0 is goal-labelled. Either way
+/// the quotient is deterministic.
 pub fn lump(ctmc: &Ctmc) -> Lumped {
     let n = ctmc.len();
     if n == 0 {
@@ -130,6 +133,28 @@ mod tests {
             vec![false, false, false, true],
             vec![(0, 1.0)],
         )
+    }
+
+    /// Block numbering: first occurrence in state order once refinement
+    /// splits a block; the goal-label numbering (non-goal states first)
+    /// when that partition is already stable.
+    #[test]
+    fn blocks_keep_goal_label_numbering_when_it_is_stable() {
+        let goal_first = vec![true, false, false];
+        let stable = Ctmc::from_rows(
+            &[vec![], vec![(0, 1.0)], vec![(0, 1.0)]],
+            goal_first.clone(),
+            vec![(1, 1.0)],
+        );
+        let l = lump(&stable);
+        assert_eq!(l.block_of, vec![1, 0, 0], "non-goal block first");
+        assert_eq!(l.quotient.goal, vec![false, true]);
+
+        let split =
+            Ctmc::from_rows(&[vec![], vec![(0, 1.0)], vec![(0, 2.0)]], goal_first, vec![(1, 1.0)]);
+        let l = lump(&split);
+        assert_eq!(l.block_of, vec![0, 1, 2], "first occurrence in state order");
+        assert_eq!(l.quotient.goal, vec![true, false, false]);
     }
 
     #[test]

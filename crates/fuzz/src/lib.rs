@@ -18,8 +18,7 @@
 //! | [`OracleKind::Lint`] | front-end + network lints never panic, are deterministic, and the deny verdict matches the `analyze` pre-flight |
 //! | [`OracleKind::Bytecode`] | `Network::compile()` output passes `verify_bytecode` |
 //! | [`OracleKind::CompiledEquivalence`] | compiled step tables reproduce the legacy interpreter exactly on sampled prefixes |
-//! | [`OracleKind::BatchEquivalence`] | the batched path driver reproduces the scalar engine's per-path outcome lane-exactly at every lane width |
-//! | [`OracleKind::FusionEquivalence`] | the fused/specialized kernel and the unfused reference kernel produce bit-identical per-path outcomes |
+//! | [`OracleKind::KernelEquivalence`] | the production kernel, scalar and batched at every lane width, reproduces the plain reference kernel's per-path outcomes bit for bit |
 //! | [`OracleKind::FixpointSoundness`] | a `P = 0` pre-verdict is never contradicted by a simulated goal hit (and dually for `P = 1`) |
 //! | [`OracleKind::PruneInvariance`] | `--prune` leaves estimates bit-identical at fixed `(seed, workers)` |
 //!
