@@ -30,7 +30,9 @@ pub struct PipelineResult {
     pub probability: f64,
     /// Reachable states explored.
     pub states: usize,
-    /// Transitions in the explored IMC.
+    /// Transitions explored: the IMC's interactive and Markovian edges,
+    /// including the Markovian edges of vanishing states that maximal
+    /// progress preempts (counted, not stored; see [`Imc`](crate::Imc)).
     pub transitions: usize,
     /// Tangible CTMC states after vanishing elimination.
     pub tangible_states: usize,

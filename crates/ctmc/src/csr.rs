@@ -70,6 +70,14 @@ impl Rows {
         Ok(())
     }
 
+    /// Reserves exact room for `rows` more rows and `edges` more weighted
+    /// edges; pushing past it grows the arrays as usual.
+    pub(crate) fn reserve(&mut self, rows: usize, edges: usize) {
+        self.end.reserve_exact(rows);
+        self.targets.reserve_exact(edges);
+        self.rates.reserve_exact(edges);
+    }
+
     /// Bytes allocated by the arrays (their capacities).
     pub(crate) fn allocated_bytes(&self) -> usize {
         (self.end.capacity() + self.targets.capacity()) * size_of::<u32>()
@@ -109,6 +117,8 @@ mod tests {
         assert_eq!(r.allocated_bytes(), 4 * 3 + 4 * 2 + 8 * 5);
         r.shrink_to_fit();
         assert_eq!(r.allocated_bytes(), 0);
+        r.reserve(3, 2);
+        assert!(r.allocated_bytes() >= 4 * 3 + (4 + 8) * 2);
     }
 
     #[test]

@@ -7,6 +7,14 @@
 //! simulator also applies; this closes the IMC into a CTMC (the role of
 //! the weak-bisimulation step in the COMPASS chain, which likewise must
 //! rid the model of interactive transitions before MRMC can run).
+//!
+//! Only tangible states' Markovian rows are read, so the maximal-progress
+//! IMC that [`explore`](crate::explore::explore) stores (vanishing states
+//! without Markovian edges) and an IMC that keeps them give the same CTMC.
+//! The CTMC's arrays are reserved up front, one row per tangible state
+//! (and the goal sink) and one edge per stored Markovian edge, and trimmed
+//! at the end. That is enough room when each Markovian target resolves to
+//! a single CTMC state; otherwise the arrays grow as usual.
 
 use crate::accumulate::Accumulator;
 use crate::csr::Rows;
@@ -36,6 +44,8 @@ pub fn eliminate(imc: &Imc) -> Result<Ctmc, CtmcError> {
 
     // Build rows for tangible states, in state order.
     let mut ctmc = Ctmc::default();
+    ctmc.goal.reserve_exact(r.goal_sink + 1);
+    ctmc.rates.reserve(r.goal_sink + 1, imc.markovian.edges());
     for s in (0..imc.len()).filter(|&s| !imc.is_vanishing(s)) {
         ctmc.goal.push(imc.goal(s));
         for (target, _) in imc.markovian(s) {
@@ -62,6 +72,8 @@ pub fn eliminate(imc: &Imc) -> Result<Ctmc, CtmcError> {
         ctmc.rates.end_row()?;
         ctmc.goal.push(true);
     }
+    ctmc.goal.shrink_to_fit();
+    ctmc.rates.shrink_to_fit();
     debug_assert!(ctmc.check_valid().is_ok(), "{:?}", ctmc.check_valid());
     Ok(ctmc)
 }

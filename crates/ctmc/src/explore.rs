@@ -21,6 +21,12 @@
 //! expanded by decoding its words into one reused [`NetState`] — and its
 //! successors are appended straight to the [`Imc`]'s flat edge arrays, so
 //! nothing is allocated per state.
+//!
+//! The IMC stores the maximal-progress chain. A state with an immediate
+//! successor is vanishing: its Markovian successors are still enumerated,
+//! applied and interned, so state numbering is unchanged, but their edges
+//! are only counted ([`Imc::preempted`]), never stored, since elimination
+//! never reads them. [`Imc::transition_count`] is the explored count.
 
 use crate::error::CtmcError;
 use crate::imc::Imc;
@@ -48,7 +54,9 @@ impl Default for ExploreConfig {
 /// The exploration product: the IMC plus bookkeeping for reporting.
 #[derive(Debug, Clone)]
 pub struct Explored {
-    /// The interactive Markov chain over reachable discrete states.
+    /// The maximal-progress interactive Markov chain over reachable
+    /// discrete states (the Markovian edges of vanishing states counted in
+    /// [`Imc::preempted`], not stored).
     pub imc: Imc,
     /// Number of stored states (= `imc.len()`).
     pub states: usize,
@@ -101,6 +109,7 @@ pub fn explore(
         // *now*. In an untimed model guards are delay-free, so the window
         // is either everything or nothing.
         net.guarded_candidates_into(&tables, &mut scratch, &current)?;
+        let interactive_before = imc.interactive.edges();
         for c in 0..scratch.candidates().len() {
             let cand = &scratch.candidates()[c];
             if !cand.window.contains(0.0) {
@@ -113,12 +122,21 @@ pub fn explore(
             imc.interactive.push(store.intern(&successor, Some(&current))?, None);
         }
 
+        // Maximal progress: a vanishing state's Markovian successors are
+        // still interned (the BFS numbering reaches them), not stored.
         net.markovian_candidates_into(&tables, &mut scratch, &current);
+        let vanishing = imc.interactive.edges() > interactive_before;
+        if vanishing {
+            imc.preempted += scratch.markovian().len();
+        }
         for m in 0..scratch.markovian().len() {
             let (p, t, rate) = scratch.markovian()[m];
             successor.copy_from(&current);
             net.apply_mut(&tables, &mut scratch, &mut successor, &[(p, t)])?;
-            imc.markovian.push(store.intern(&successor, Some(&current))?, Some(rate));
+            let target = store.intern(&successor, Some(&current))?;
+            if !vanishing {
+                imc.markovian.push(target, Some(rate));
+            }
         }
         imc.interactive.end_row()?;
         imc.markovian.end_row()?;
@@ -410,6 +428,33 @@ mod tests {
         assert_eq!(e.states, 2);
         assert_eq!(e.imc.transition_count(), 2);
         assert!(e.approx_memory_bytes > 0);
+    }
+
+    #[test]
+    fn preempted_markovian_edges_are_counted_not_stored() {
+        // An immediate step `start → next` races a fault `ok → failed`.
+        // In (start, ok) maximal progress preempts the fault, but
+        // (start, failed) is still reached and numbered.
+        let mut b = NetworkBuilder::new();
+        let mut p = AutomatonBuilder::new("p");
+        let start = p.location("start");
+        let next = p.location("next");
+        p.guarded(start, ActionId::TAU, Expr::TRUE, [], next);
+        b.add_automaton(p);
+        let mut f = AutomatonBuilder::new("f");
+        let ok = f.location("ok");
+        let failed = f.location("failed");
+        f.markovian(ok, 2.0, [], failed);
+        b.add_automaton(f);
+        let e = explore(&b.build().unwrap(), &goal_false(), &ExploreConfig::default()).unwrap();
+        // 0 = (start, ok), 1 = (next, ok), 2 = (start, failed), 3 = (next, failed).
+        assert_eq!(e.states, 4);
+        assert!(e.imc.is_vanishing(0) && e.imc.is_vanishing(2));
+        assert_eq!(e.imc.markovian(0).len(), 0);
+        assert_eq!(e.imc.markovian(1).collect::<Vec<_>>(), [(3, 2.0)]);
+        assert_eq!(e.imc.interactive(2), [3]);
+        assert_eq!(e.imc.preempted(), 1);
+        assert_eq!(e.imc.transition_count(), 4, "two immediate, one stored, one preempted");
     }
 
     #[test]

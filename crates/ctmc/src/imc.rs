@@ -1,6 +1,11 @@
 //! Interactive Markov chains — the intermediate representation between
 //! state-space exploration and the CTMC (the role NuSMV's reachable state
 //! graph plays in the COMPASS pipeline, §IV).
+//!
+//! An explored IMC stores the maximal-progress chain: a vanishing state
+//! keeps its immediate edges only, and its Markovian edges, which
+//! maximal progress makes unreachable, are counted but not stored.
+//! [`Imc::transition_count`] counts every explored edge, stored or not.
 
 use crate::csr::Rows;
 
@@ -16,11 +21,14 @@ pub struct Imc {
     pub(crate) goal: Vec<bool>,
     pub(crate) interactive: Rows,
     pub(crate) markovian: Rows,
+    /// Markovian edges explored from vanishing states and not stored.
+    pub(crate) preempted: usize,
 }
 
 impl Imc {
-    /// Builds an IMC from per-state rows, state 0 first. Panics on a
-    /// target or an edge count past `u32::MAX`.
+    /// Builds an IMC from per-state rows, state 0 first, storing every
+    /// edge given (Markovian rows of vanishing states included). Panics on
+    /// a target or an edge count past `u32::MAX`.
     pub fn from_rows(rows: &[ImcRow]) -> Imc {
         Imc {
             goal: rows.iter().map(|r| r.0).collect(),
@@ -28,7 +36,14 @@ impl Imc {
             markovian: Rows::from_lists(
                 rows.iter().map(|r| r.2.iter().map(|&(t, q)| (t, Some(q)))),
             ),
+            preempted: 0,
         }
+    }
+
+    /// Sets the number of explored Markovian edges that are not stored
+    /// because they leave vanishing states.
+    pub fn with_preempted(self, preempted: usize) -> Imc {
+        Imc { preempted, ..self }
     }
 
     /// Number of states.
@@ -51,7 +66,8 @@ impl Imc {
         self.interactive.targets(s)
     }
 
-    /// The Markovian `(target, rate)` edges of state `s`, in order.
+    /// The stored Markovian `(target, rate)` edges of state `s`, in order
+    /// (none for a vanishing state of an explored IMC).
     pub fn markovian(&self, s: usize) -> impl ExactSizeIterator<Item = (usize, f64)> + '_ {
         self.markovian.row(s)
     }
@@ -61,9 +77,16 @@ impl Imc {
         !self.interactive(s).is_empty()
     }
 
-    /// Total number of transitions (interactive + Markovian).
+    /// Number of explored Markovian edges not stored because maximal
+    /// progress preempts them.
+    pub fn preempted(&self) -> usize {
+        self.preempted
+    }
+
+    /// Total number of explored transitions: interactive, stored Markovian
+    /// and preempted.
     pub fn transition_count(&self) -> usize {
-        self.interactive.edges() + self.markovian.edges()
+        self.interactive.edges() + self.markovian.edges() + self.preempted
     }
 
     /// Bytes allocated by the IMC's arrays (their capacities).
@@ -85,7 +108,7 @@ mod tests {
         ]);
         assert_eq!(imc.len(), 3);
         assert!(!imc.is_empty());
-        assert_eq!(imc.transition_count(), 5);
+        assert_eq!((imc.transition_count(), imc.preempted()), (5, 0));
         assert_eq!(imc.interactive(0), [1, 2]);
         assert!(imc.interactive(1).is_empty() && imc.interactive(2).is_empty());
         assert_eq!(imc.markovian(0).collect::<Vec<_>>(), [(2, 0.25)]);
@@ -97,5 +120,7 @@ mod tests {
             + imc.interactive.allocated_bytes()
             + imc.markovian.allocated_bytes();
         assert_eq!(imc.allocated_bytes(), bytes);
+        let imc = imc.with_preempted(3);
+        assert_eq!((imc.transition_count(), imc.preempted()), (8, 3));
     }
 }

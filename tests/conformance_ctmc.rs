@@ -9,7 +9,7 @@
 //! scheduled heavy job / `cargo test -- --ignored`.
 
 use slim_ctmc::analysis::{check_timed_reachability, PipelineConfig};
-use slim_ctmc::{explore, ExploreConfig, Imc};
+use slim_ctmc::{eliminate, explore, Ctmc, ExploreConfig, Imc, ImcRow};
 use slim_models::{
     repair_failure_probability, repair_network, sensor_filter_network, voting_failure_probability,
     voting_network, RepairParams, SensorFilterParams, VotingParams, GOAL_VAR, REPAIR_GOAL_VAR,
@@ -229,8 +229,9 @@ fn ctmc_pipeline_golden_bits() {
 /// Breadth-first exploration on the reference step API
 /// (`guarded_candidates` / `markovian_candidates` / `apply`, one cloned
 /// state per successor) — the semantics the packed explorer must
-/// reproduce state for state.
-fn reference_imc(net: &Network, goal: &dyn Fn(&NetState) -> bool) -> Imc {
+/// reproduce state for state. Every Markovian edge is kept, those of
+/// vanishing states included.
+fn reference_rows(net: &Network, goal: &dyn Fn(&NetState) -> bool) -> Vec<ImcRow> {
     let key = |s: &NetState| -> (Vec<LocId>, Vec<i64>) {
         let vals = s.nu.as_slice().iter().map(|v| match *v {
             Value::Bool(b) => i64::from(b),
@@ -268,14 +269,26 @@ fn reference_imc(net: &Network, goal: &dyn Fn(&NetState) -> bool) -> Imc {
         rows.push((goal(&state), interactive, markovian));
         here += 1;
     }
-    Imc::from_rows(&rows)
+    rows
 }
 
-/// The production explorer (compiled kernel, packed state store) builds
-/// exactly the IMC of a reference-API breadth-first search: same state
-/// numbering, same edge order, same rates, same goal labels.
-#[test]
-fn explore_matches_reference_step_api() {
+/// The reference IMC under maximal progress: the Markovian row of every
+/// state with an immediate successor is dropped, and its edges counted
+/// as preempted.
+fn reference_imc(net: &Network, goal: &dyn Fn(&NetState) -> bool) -> Imc {
+    let mut rows = reference_rows(net, goal);
+    let mut preempted = 0;
+    for (_, interactive, markovian) in &mut rows {
+        if !interactive.is_empty() {
+            preempted += markovian.len();
+            markovian.clear();
+        }
+    }
+    Imc::from_rows(&rows).with_preempted(preempted)
+}
+
+/// The untimed cases plus sensor–filter n = 4, with their goal predicates.
+fn explore_cases() -> Vec<(Case, impl Fn(&NetState) -> bool)> {
     let mut all = cases();
     all.push(Case {
         name: "sensor-filter-4",
@@ -283,23 +296,63 @@ fn explore_matches_reference_step_api() {
         goal_var: GOAL_VAR,
         bound: 2.0,
     });
-    for case in all {
-        let failed = case.net.var_id(case.goal_var).unwrap();
-        let holds = move |s: &NetState| s.nu.get(failed).unwrap().as_bool().unwrap();
+    all.into_iter()
+        .map(|case| {
+            let failed = case.net.var_id(case.goal_var).unwrap();
+            (case, move |s: &NetState| s.nu.get(failed).unwrap().as_bool().unwrap())
+        })
+        .collect()
+}
+
+/// The production explorer (compiled kernel, packed state store) builds
+/// exactly the maximal-progress IMC of a reference-API breadth-first
+/// search: same state numbering, same edge order, same rates, same goal
+/// labels, same preempted count.
+#[test]
+fn explore_matches_reference_step_api() {
+    for (case, holds) in explore_cases() {
         let explored = explore(&case.net, &|s| Ok(holds(s)), &ExploreConfig::default()).unwrap();
         assert_eq!(explored.imc, reference_imc(&case.net, &holds), "{}", case.name);
         assert_eq!(explored.states, explored.imc.len());
     }
 }
 
+/// `(state, probability or rate bits)` entries.
+type BitEntries = Vec<(usize, u64)>;
+
+/// A CTMC as bits: goal labels, initial distribution and every row.
+fn ctmc_bits(c: &Ctmc) -> (Vec<bool>, BitEntries, Vec<BitEntries>) {
+    let bits = |(t, q): (usize, f64)| (t, q.to_bits());
+    let rows = (0..c.len()).map(|s| c.row(s).map(bits).collect()).collect();
+    (c.goal.clone(), c.initial.iter().copied().map(bits).collect(), rows)
+}
+
+/// The Markovian edges `explore` drops are never read: eliminating the
+/// reference IMC with every edge stored gives the same CTMC, to the bit,
+/// as eliminating the explored one.
+#[test]
+fn preempted_edges_never_reach_the_ctmc() {
+    let mut preempted = 0;
+    for (case, holds) in explore_cases() {
+        let explored = explore(&case.net, &|s| Ok(holds(s)), &ExploreConfig::default()).unwrap();
+        let unfiltered = Imc::from_rows(&reference_rows(&case.net, &holds));
+        assert_eq!(unfiltered.transition_count(), explored.imc.transition_count(), "{}", case.name);
+        preempted += explored.imc.preempted();
+        let want = ctmc_bits(&eliminate(&unfiltered).unwrap());
+        assert_eq!(ctmc_bits(&eliminate(&explored.imc).unwrap()), want, "{}", case.name);
+    }
+    assert!(preempted > 0, "some case must have preempted edges");
+}
+
 /// `Explored::approx_memory_bytes` is the capacity sum of every array
 /// `explore` holds, re-derived here from public counts: the IMC's arrays
 /// trimmed to one goal byte and two `u32` row ends per state, a `u32` per
-/// interactive edge and a `u32` target plus an `f64` rate per Markovian
-/// edge; the state index's `u32` slots (a power of two, at least 1024 and
-/// at least twice the states); and the arena's whole `u64` words per
-/// state, reserved for half the slots plus one. Bytes per state at
-/// sensor–filter n = 6 stay under a pinned bound.
+/// interactive edge and a `u32` target plus an `f64` rate per stored
+/// Markovian edge (vanishing states store none; their preempted edges
+/// are only counted); the state index's `u32` slots (a power of two, at
+/// least 1024 and at least twice the states); and the arena's whole `u64`
+/// words per state, reserved for half the slots plus one. Bytes per state
+/// at sensor–filter n = 6 stay under a pinned bound.
 #[test]
 fn explore_memory_accounting() {
     let net = sensor_filter_network(&SensorFilterParams { redundancy: 6, ..Default::default() });
@@ -309,7 +362,8 @@ fn explore_memory_accounting() {
     let (imc, len) = (&e.imc, e.states);
     let interactive: usize = (0..len).map(|s| imc.interactive(s).len()).sum();
     let markovian: usize = (0..len).map(|s| imc.markovian(s).count()).sum();
-    assert_eq!(interactive + markovian, imc.transition_count());
+    assert!((0..len).all(|s| !imc.is_vanishing(s) || imc.markovian(s).len() == 0));
+    assert_eq!(interactive + markovian + imc.preempted(), imc.transition_count());
     let imc_bytes = 9 * len + 4 * interactive + 12 * markovian;
     assert_eq!(imc.allocated_bytes(), imc_bytes, "IMC arrays are trimmed to their lengths");
 
@@ -323,6 +377,6 @@ fn explore_memory_accounting() {
     assert!(per_state <= BYTES_PER_STATE_N6, "{per_state:.1} B per state at n = 6");
 }
 
-/// Pinned over the measured 88.2 B per state (1 444 320 B for 16 380
+/// Pinned over the measured 46.2 B per state (756 216 B for 16 380
 /// states), with headroom.
-const BYTES_PER_STATE_N6: f64 = 100.0;
+const BYTES_PER_STATE_N6: f64 = 50.0;
