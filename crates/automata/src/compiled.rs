@@ -78,6 +78,15 @@
 //! Records older than the running sequence read as unknown, so starting a
 //! sequence is O(1) however many slots, variables and flows there are.
 //!
+//! # Successors in place
+//!
+//! State-space exploration expands each state into all its successors.
+//! [`Network::successor`] fires one candidate in place on the parent,
+//! hands the result and its [`Delta`] to a visitor and undoes the firing;
+//! it shares the effect and checked flow evaluation with
+//! [`Network::apply_mut_prof`] and applies the demand rule above against
+//! the read sets [`Network::successors_begin`] logged on the parent.
+//!
 //! One caveat: `=`/`!=` between Boolean and numeric operands is dispatched
 //! at *compile* time from declared variable types, where the legacy solver
 //! inspects runtime values. The two agree on every type-canonical state
@@ -1064,6 +1073,92 @@ fn set_noted(
     Ok(())
 }
 
+/// A flow [`Network::successors_begin`] could not log: it re-runs
+/// whenever a firing masks it.
+const UNLOGGED: u32 = u32::MAX;
+
+/// The parent read log and the undo log of [`Network::successor`].
+#[derive(Debug, Default)]
+struct SuccessorLog {
+    /// Per flow: how many variables its evaluation on the parent read,
+    /// logged in `reads` at [`CompiledFlow::read_at`], or [`UNLOGGED`].
+    flow_reads: Vec<u32>,
+    reads: Vec<VarId>,
+    /// Per variable: the number of the last successor that changed it.
+    changed_in: Vec<u64>,
+    /// The number of the current successor.
+    now: u64,
+    /// `(variable, parent value)` per value change, in write order.
+    undo: Vec<(VarId, Value)>,
+    /// `(process, parent location)` per moved process.
+    moved: Vec<(ProcId, LocId)>,
+}
+
+impl SuccessorLog {
+    /// `nu[var] := v`, logging a bitwise change for undo.
+    #[inline]
+    fn write(&mut self, nu: &mut Valuation, var: VarId, v: Value) -> Result<(), EvalError> {
+        let old = nu.replace(var, v)?;
+        if !old.same_bits(v) {
+            self.undo.push((var, old));
+            self.changed_in[var.0] = self.now;
+        }
+        Ok(())
+    }
+
+    /// Flow `i` (`f`) may not hold in the current successor: it is
+    /// unlogged, or its target or a variable its parent evaluation read
+    /// has changed.
+    #[inline]
+    fn stale(&self, f: &CompiledFlow, i: usize) -> bool {
+        let n = self.flow_reads[i];
+        let lo = f.read_at as usize;
+        let changed = |v: &VarId| self.changed_in[v.0] == self.now;
+        n == UNLOGGED || changed(&f.target) || self.reads[lo..lo + n as usize].iter().any(changed)
+    }
+
+    /// Undoes the current successor's changes on `state`.
+    fn restore(&self, state: &mut NetState) {
+        for &(var, old) in self.undo.iter().rev() {
+            state.nu.replace(var, old).expect("the write being undone succeeded on `var`");
+        }
+        for &(p, from) in &self.moved {
+            state.locs[p.0] = from;
+        }
+    }
+}
+
+/// A candidate of the last enumeration on a [`StepScratch`], fired by
+/// [`Network::successor`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Firing {
+    /// `candidates()[i]` of the last [`Network::guarded_candidates_into`].
+    Guarded(usize),
+    /// `markovian()[i]` of the last [`Network::markovian_candidates_into`].
+    Markovian(usize),
+}
+
+/// What a [`Network::successor`] firing changed in its parent.
+#[derive(Debug, Clone, Copy)]
+pub struct Delta<'a> {
+    moved: &'a [(ProcId, LocId)],
+    undo: &'a [(VarId, Value)],
+}
+
+impl Delta<'_> {
+    /// The processes whose location changed.
+    pub fn moved(&self) -> impl Iterator<Item = ProcId> + '_ {
+        self.moved.iter().map(|&(p, _)| p)
+    }
+
+    /// The variables whose value changed bitwise, in write order. A
+    /// variable written more than once may be listed again, also when
+    /// its last write restored the parent's value.
+    pub fn changed(&self) -> impl Iterator<Item = VarId> + '_ {
+        self.undo.iter().map(|&(v, _)| v)
+    }
+}
+
 /// Evaluates the local guard `cg` of process `p`: `None` when disabled,
 /// `Some(true)` when enabled at every delay (a delay-free guard), and
 /// `Some(false)` with its window left in `s.guard_result` otherwise.
@@ -1116,6 +1211,7 @@ pub struct StepScratch {
     // internally while that output is checked out.
     inv_check: IntervalSet,
     cache: EnabledCache,
+    succ: SuccessorLog,
 }
 
 impl StepScratch {
@@ -2833,15 +2929,63 @@ impl Network {
         parts: &[(ProcId, TransId)],
         prof: &mut P,
     ) -> Result<(), EvalError> {
-        s.writes.clear();
-        s.cache.now += 1;
+        let c = &mut s.cache;
+        c.now += 1;
+        let flow_mask =
+            self.fire_parts(t, &mut s.vals, &mut s.writes, state, parts, prof, |p, from, to| {
+                if !c.active {
+                    return;
+                }
+                c.rates_dirty |= t.loc_rated[p][from.0] || t.loc_rated[p][to.0];
+                let markov = &t.markov[p];
+                if c.markov_valid && !(markov[from.0].is_empty() && markov[to.0].is_empty()) {
+                    if c.moved.len() == t.markov.len() {
+                        // Firings without a list refresh in between:
+                        // rebuild instead of growing the log.
+                        c.markov_valid = false;
+                        c.moved.clear();
+                    } else {
+                        c.moved.push(p);
+                    }
+                }
+            })?;
+        for i in 0..s.writes.len() {
+            let (var, v) = s.writes[i];
+            set_noted(t, &mut state.nu, &mut s.cache, var, v)?;
+        }
+        run_flows_inner(t, flow_mask, true, &mut s.vals, &mut s.cache, &mut state.nu, prof)
+    }
+
+    /// The firing half [`Network::apply_mut_prof`] and
+    /// [`Network::successor`] share: records one firing per participant,
+    /// evaluates every effect against the pre-state into `writes` (type-
+    /// and range-checked, in participant order, so a later write to the
+    /// same variable wins) and moves the participants, calling
+    /// `moved(p, from, to)` for each whose location changes. Returns the
+    /// union of the participants' flow masks.
+    // Forced inline, like `eval_flow`: left to the compiler, the two
+    // out-of-line calls made `step_primitives/sensor_filter/apply`
+    // about a quarter slower than the unshared code it replaced.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn fire_parts<P: ProfileHooks>(
+        &self,
+        t: &StepTables,
+        vals: &mut Vec<Value>,
+        writes: &mut Vec<(VarId, Value)>,
+        state: &mut NetState,
+        parts: &[(ProcId, TransId)],
+        prof: &mut P,
+        mut moved: impl FnMut(usize, LocId, LocId),
+    ) -> Result<u64, EvalError> {
+        writes.clear();
         let mut flow_mask = 0u64;
         for &(p, t_id) in parts {
             prof.fired(p.0, t_id.0);
             let ct = &t.trans[p.0][t_id.0];
             flow_mask |= ct.flow_mask;
             for eff in &ct.effects {
-                let v = run_eval(&eff.prog, &state.nu, &mut s.vals, prof, &mut ())?;
+                let v = run_eval(&eff.prog, &state.nu, vals, prof, &mut ())?;
                 let v = eff.ty.canonicalize(v);
                 if !eff.ty.admits(v) {
                     if let (VarType::Int { lo, hi }, Value::Int(i)) = (eff.ty, v) {
@@ -2860,31 +3004,91 @@ impl Network {
                         ),
                     });
                 }
-                s.writes.push((eff.var, v));
+                writes.push((eff.var, v));
             }
             let from = state.locs[p.0];
-            let c = &mut s.cache;
-            if c.active && from != ct.to {
-                c.rates_dirty |= t.loc_rated[p.0][from.0] || t.loc_rated[p.0][ct.to.0];
-                let markov = &t.markov[p.0];
-                if c.markov_valid && !(markov[from.0].is_empty() && markov[ct.to.0].is_empty()) {
-                    if c.moved.len() == t.markov.len() {
-                        // Firings without a list refresh in between:
-                        // rebuild instead of growing the log.
-                        c.markov_valid = false;
-                        c.moved.clear();
-                    } else {
-                        c.moved.push(p.0);
-                    }
-                }
+            if from != ct.to {
+                moved(p.0, from, ct.to);
             }
             state.locs[p.0] = ct.to;
         }
-        for i in 0..s.writes.len() {
-            let (var, v) = s.writes[i];
-            set_noted(t, &mut state.nu, &mut s.cache, var, v)?;
+        Ok(flow_mask)
+    }
+
+    /// Starts expanding `parent` with [`Network::successor`]: evaluates
+    /// every flow on it once and logs the variables each evaluation
+    /// reads. A flow whose evaluation fails, or disagrees with the value
+    /// `parent` holds in its target, is logged as unknown and re-runs in
+    /// every successor whose firing masks it; so do all flows under
+    /// [`CompileOptions::reference`] tables.
+    pub fn successors_begin(&self, t: &StepTables, s: &mut StepScratch, parent: &NetState) {
+        let log = &mut s.succ;
+        grow(&mut log.flow_reads, t.flows.len(), 0);
+        grow(&mut log.reads, t.n_flow_reads, VarId(0));
+        grow(&mut log.changed_in, t.base_rates.len(), 0);
+        for (i, f) in t.flows.iter().enumerate() {
+            let mut reads = ReadLog { buf: &mut log.reads[f.read_at as usize..], n: 0 };
+            let holds = t.incremental
+                && eval_flow(f, i, &parent.nu, &mut s.vals, &mut NoopProfile, &mut reads)
+                    .is_ok_and(|v| parent.nu.get(f.target).is_ok_and(|old| old.same_bits(v)));
+            log.flow_reads[i] = if holds { reads.n as u32 } else { UNLOGGED };
         }
-        run_flows_inner(t, flow_mask, true, &mut s.vals, &mut s.cache, &mut state.nu, prof)
+    }
+
+    /// Fires `firing` — a candidate of the last enumeration on `s` — in
+    /// place on `parent`, hands the successor and what changed to
+    /// `visit`, and restores `parent`. The successor equals what
+    /// [`Network::apply_mut`] builds from a copy of `parent`, and the
+    /// errors are the same: effects and flows run on the same path,
+    /// except that a masked flow is skipped when no variable its
+    /// [`Network::successors_begin`] evaluation read has changed (see the
+    /// `slim-ctmc` explorer's module docs for why that is exact).
+    /// `parent` must be the state last passed to `successors_begin`.
+    /// Ends any stepping sequence.
+    ///
+    /// # Errors
+    /// Identical to [`Network::apply_mut`]; `parent` is restored either
+    /// way, and `visit` is not called.
+    pub fn successor<R>(
+        &self,
+        t: &StepTables,
+        s: &mut StepScratch,
+        parent: &mut NetState,
+        firing: Firing,
+        visit: impl FnOnce(&NetState, Delta<'_>) -> R,
+    ) -> Result<R, EvalError> {
+        s.cache.active = false;
+        let StepScratch { cands, markov, vals, writes, succ: log, .. } = s;
+        let markovian;
+        let parts: &[(ProcId, TransId)] = match firing {
+            Firing::Guarded(c) => &cands[c].parts,
+            Firing::Markovian(m) => {
+                markovian = [(markov[m].0, markov[m].1)];
+                &markovian
+            }
+        };
+        log.now += 1;
+        log.undo.clear();
+        log.moved.clear();
+        let prof = &mut NoopProfile;
+        let fired = self.fire_parts(t, vals, writes, parent, parts, prof, |p, from, _| {
+            log.moved.push((ProcId(p), from));
+        });
+        let result = fired.and_then(|mask| {
+            for &(var, v) in writes.iter() {
+                log.write(&mut parent.nu, var, v)?;
+            }
+            for (i, f) in t.flows.iter().enumerate() {
+                if mask != u64::MAX && (mask >> i) & 1 == 0 || !log.stale(f, i) {
+                    continue;
+                }
+                let v = eval_flow(f, i, &parent.nu, vals, prof, &mut ())?;
+                log.write(&mut parent.nu, f.target, v)?;
+            }
+            Ok(visit(parent, Delta { moved: &log.moved, undo: &log.undo }))
+        });
+        log.restore(parent);
+        result
     }
 
     /// Compiles a standalone Boolean predicate (a property goal) for
@@ -3059,7 +3263,7 @@ fn run_flows_inner<P: ProfileHooks>(
                 continue;
             }
             let mut log = ReadLog { buf: &mut cache.reads[f.read_at as usize..], n: 0 };
-            let v = run_eval(&f.prog, nu, vals, prof, &mut log)?;
+            let v = eval_flow(f, i, nu, vals, prof, &mut log)?;
             cache.flow_reads[i] = log.n as u32;
             cache.flow_at[i] = cache.now;
             v
@@ -3067,26 +3271,36 @@ fn run_flows_inner<P: ProfileHooks>(
             if cache.active {
                 cache.flow_at[i] = 0;
             }
-            run_eval(&f.prog, nu, vals, prof, &mut ())?
+            eval_flow(f, i, nu, vals, prof, &mut ())?
         };
-        prof.flow_eval(i);
-        let v = f.ty.canonicalize(v);
-        if !f.ty.admits(v) {
-            if let (VarType::Int { lo, hi }, Value::Int(i)) = (f.ty, v) {
-                return Err(EvalError::IntOutOfRange {
-                    variable: f.name.clone(),
-                    value: i,
-                    lo,
-                    hi,
-                });
-            }
-            return Err(EvalError::TypeConfusion {
-                context: format!("flow into {} produced {}", f.name, v.kind()),
-            });
-        }
         set_noted(t, nu, cache, f.target, v)?;
     }
     Ok(())
+}
+
+/// Evaluates flow `i` (`f`) on `nu` and checks the value against its
+/// target's type, recording one flow evaluation.
+#[inline(always)]
+fn eval_flow<P: ProfileHooks, R: ReadSink>(
+    f: &CompiledFlow,
+    i: usize,
+    nu: &Valuation,
+    vals: &mut Vec<Value>,
+    prof: &mut P,
+    reads: &mut R,
+) -> Result<Value, EvalError> {
+    let v = run_eval(&f.prog, nu, vals, prof, reads)?;
+    prof.flow_eval(i);
+    let v = f.ty.canonicalize(v);
+    if !f.ty.admits(v) {
+        if let (VarType::Int { lo, hi }, Value::Int(i)) = (f.ty, v) {
+            return Err(EvalError::IntOutOfRange { variable: f.name.clone(), value: i, lo, hi });
+        }
+        return Err(EvalError::TypeConfusion {
+            context: format!("flow into {} produced {}", f.name, v.kind()),
+        });
+    }
+    Ok(v)
 }
 
 // ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ pub mod prelude {
     };
     pub use crate::compiled::{
         profile_labels, profile_shape, BytecodeError, BytecodeReport, CandidateBuf, CompileOptions,
-        CompiledPredicate, StepScratch, StepTables, PROFILE_OP_NAMES,
+        CompiledPredicate, Delta, Firing, StepScratch, StepTables, PROFILE_OP_NAMES,
     };
     pub use crate::error::{EvalError, ModelError};
     pub use crate::eval::{eval, eval_bool, eval_real, Valuation};

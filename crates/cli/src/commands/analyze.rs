@@ -76,7 +76,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             let text = fix.summary_with_goals(&net, &targets).render_json() + "\n";
             std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
             if !args.has_flag("quiet") {
-                println!("analysis   : proof summary written to {path}");
+                outln!("analysis   : proof summary written to {path}");
             }
         }
         if args.has_flag("prune") {
@@ -89,14 +89,14 @@ pub fn run(args: &Args) -> Result<(), String> {
             }
             if plan.is_noop() {
                 if !args.has_flag("quiet") {
-                    println!("prune      : nothing statically dead to remove");
+                    outln!("prune      : nothing statically dead to remove");
                 }
                 (net, property)
             } else {
                 let (dropped_t, dropped_l) = (plan.dropped_transitions(), plan.dropped_locations());
                 let (pruned, maps) = net.prune(&plan);
                 if !args.has_flag("quiet") {
-                    println!(
+                    outln!(
                         "prune      : removed {dropped_t} transition(s), {dropped_l} location(s)"
                     );
                 }
@@ -173,7 +173,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         let text = report.to_json().to_pretty() + "\n";
         std::fs::write(ppath, text).map_err(|e| format!("cannot write `{ppath}`: {e}"))?;
         if !args.has_flag("quiet") {
-            println!("profile    : {ppath}");
+            outln!("profile    : {ppath}");
         }
         (result, Some(report))
     } else {
@@ -193,26 +193,26 @@ pub fn run(args: &Args) -> Result<(), String> {
         let text = report.to_json().to_pretty() + "\n";
         std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
         if !args.has_flag("quiet") {
-            println!("report     : {path}");
+            outln!("report     : {path}");
         }
     }
     if !args.has_flag("quiet") {
-        println!("model      : {} automata, {} variables", net.automata().len(), net.vars().len());
+        outln!("model      : {} automata, {} variables", net.automata().len(), net.vars().len());
         if property.hold.is_some() {
-            println!("property   : P(hold U[0,{bound}] goal)");
+            outln!("property   : P(hold U[0,{bound}] goal)");
         } else {
-            println!("property   : P(◇[0,{bound}] goal)");
+            outln!("property   : P(◇[0,{bound}] goal)");
         }
-        println!("strategy   : {}", config.strategy);
-        println!("generator  : {}", config.generator);
-        println!("workers    : {}", config.workers);
+        outln!("strategy   : {}", config.strategy);
+        outln!("generator  : {}", config.generator);
+        outln!("workers    : {}", config.workers);
         if let Some(p) = result.pre_verdict.exact_probability() {
-            println!(
+            outln!(
                 "pre-verdict: {} — exact P = {p} from the static fixpoint, no samples drawn",
                 result.pre_verdict
             );
         }
-        println!(
+        outln!(
             "paths      : {} (satisfied {}, bound-exceeded {}, hold-violated {}, deadlock {}, timelock {})",
             result.stats.total(),
             result.stats.satisfied,
@@ -221,19 +221,19 @@ pub fn run(args: &Args) -> Result<(), String> {
             result.stats.deadlocks,
             result.stats.timelocks,
         );
-        println!("mean steps : {:.1}", result.stats.mean_steps());
+        outln!("mean steps : {:.1}", result.stats.mean_steps());
         if let Some(mean_t) = result.stats.mean_satisfaction_time() {
-            println!(
+            outln!(
                 "goal hits  : mean t={:.4}, min t={:.4}, max t={:.4}",
                 mean_t,
                 result.stats.min_satisfaction_time().unwrap_or(0.0),
                 result.stats.max_satisfaction_time().unwrap_or(0.0)
             );
         }
-        println!("wall time  : {:?}", result.wall);
-        println!("memory     : ~{} KiB", result.approx_memory_bytes / 1024);
+        outln!("wall time  : {:?}", result.wall);
+        outln!("memory     : ~{} KiB", result.approx_memory_bytes / 1024);
     }
-    println!("{}", result.estimate);
+    outln!("{}", result.estimate);
     Ok(())
 }
 
@@ -404,7 +404,7 @@ fn write_witnesses(
         .map_err(|e| e.to_string())?;
     let quiet = args.has_flag("quiet");
     if !quiet {
-        println!(
+        outln!(
             "witnesses  : {} goal, {} lock (first {} per category)",
             selector.goal().len(),
             selector.lock().len(),
@@ -413,7 +413,7 @@ fn write_witnesses(
     }
     let Some(dir) = trace_dir else {
         if !quiet && !witnesses.is_empty() {
-            println!("             pass --trace-dir <dir> to write witness traces");
+            outln!("             pass --trace-dir <dir> to write witness traces");
         }
         return Ok(());
     };
@@ -427,7 +427,7 @@ fn write_witnesses(
         std::fs::write(&path, events_to_json_lines(&events))
             .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
         if !quiet {
-            println!(
+            outln!(
                 "             path {} ({}, {} at t={:.6}) -> {}",
                 w.index,
                 w.category.code(),
@@ -461,18 +461,20 @@ fn print_sample_path(
     if let Some(path) = csv_path {
         std::fs::write(path, events_to_csv(&sink.events))
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        println!("sample path (seed {}, path 0) written to {path}", config.seed);
+        outln!("sample path (seed {}, path 0) written to {path}", config.seed);
         return Ok(());
     }
-    println!("--- sample path (seed {}, path 0) ---", config.seed);
+    outln!("--- sample path (seed {}, path 0) ---", config.seed);
     for event in &sink.events {
-        println!("  {event}");
+        outln!("  {event}");
     }
-    println!(
+    outln!(
         "  verdict: {} at t={:.6} after {} steps",
-        outcome.verdict, outcome.end_time, outcome.steps
+        outcome.verdict,
+        outcome.end_time,
+        outcome.steps
     );
-    println!("--------------------------------------");
+    outln!("--------------------------------------");
     Ok(())
 }
 

@@ -18,17 +18,21 @@ pub fn run(args: &Args) -> Result<(), String> {
     let r = check_timed_reachability(&net, &goal_fn, bound, &config).map_err(|e| e.to_string())?;
 
     if !args.has_flag("quiet") {
-        println!("states     : {} reachable, {} transitions", r.states, r.transitions);
-        println!("tangible   : {} (after vanishing elimination)", r.tangible_states);
-        println!("lumped     : {}", r.lumped_states);
-        println!("memory     : ~{} KiB (stored state space)", r.approx_memory_bytes / 1024);
+        outln!("states     : {} reachable, {} transitions", r.states, r.transitions);
+        outln!("tangible   : {} (after vanishing elimination)", r.tangible_states);
+        outln!("lumped     : {}", r.lumped_states);
+        outln!("memory     : ~{} KiB (stored state space)", r.approx_memory_bytes / 1024);
         let (explore, eliminate, lump, transient) = r.phase_wall;
-        println!(
+        outln!(
             "wall time  : {:?} (explore {:?}, eliminate {:?}, lump {:?}, transient {:?})",
-            r.wall, explore, eliminate, lump, transient
+            r.wall,
+            explore,
+            eliminate,
+            lump,
+            transient
         );
     }
-    println!("P(◇[0,{bound}] goal) = {:.9}", r.probability);
+    outln!("P(◇[0,{bound}] goal) = {:.9}", r.probability);
     Ok(())
 }
 

@@ -62,14 +62,14 @@ pub fn run(args: &Args) -> Result<(), String> {
         CampaignEvent::Progress { .. } => {}
     });
 
-    println!(
+    outln!(
         "fuzz: {} models in {:.1}s (seed {seed}, indices {start_index}..{}), {} failure(s)",
         summary.models,
         summary.wall.as_secs_f64(),
         start_index + summary.models,
         summary.failures.len()
     );
-    println!(
+    outln!(
         "  oracles: {}",
         OracleKind::ALL
             .iter()
@@ -77,12 +77,13 @@ pub fn run(args: &Args) -> Result<(), String> {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    println!(
+    outln!(
         "  fixpoint pre-verdicts: P=0 on {} model(s), P=1 on {} model(s)",
-        summary.pre_zero, summary.pre_one
+        summary.pre_zero,
+        summary.pre_one
     );
     for f in &summary.failures {
-        println!(
+        outln!(
             "  failure: index {} oracle {} — repro: slimsim fuzz --seed {seed} \
              --start-index {} --count 1",
             f.index,
@@ -107,7 +108,7 @@ fn replay(args: &Args, dir: PathBuf) -> Result<(), String> {
         match result {
             Ok(()) => {
                 if !args.has_flag("quiet") {
-                    println!("replay: {name} ok");
+                    outln!("replay: {name} ok");
                 }
             }
             Err(detail) => {
@@ -116,7 +117,7 @@ fn replay(args: &Args, dir: PathBuf) -> Result<(), String> {
             }
         }
     }
-    println!("replay: {} corpus entr(ies), {regressions} regression(s)", rows.len());
+    outln!("replay: {} corpus entr(ies), {regressions} regression(s)", rows.len());
     if regressions == 0 {
         Ok(())
     } else {

@@ -9,24 +9,24 @@ use slim_automata::automaton::GuardKind;
 pub fn run(args: &Args) -> Result<(), String> {
     let net = load_network(args)?;
     if args.has_flag("dot") {
-        print!("{}", slim_automata::dot::to_dot(&net));
+        out!("{}", slim_automata::dot::to_dot(&net));
         return Ok(());
     }
-    println!(
+    outln!(
         "network: {} automata, {} variables, {} actions, {} flows",
         net.automata().len(),
         net.vars().len(),
         net.actions().len(),
         net.flows().len()
     );
-    println!("\nvariables:");
+    outln!("\nvariables:");
     for decl in net.vars() {
-        println!("  {:<40} {:<12} init {}", decl.name, decl.ty.to_string(), decl.init);
+        outln!("  {:<40} {:<12} init {}", decl.name, decl.ty.to_string(), decl.init);
     }
-    println!("\nautomata:");
+    outln!("\nautomata:");
     for a in net.automata() {
         let markovian = a.transitions.iter().filter(|t| t.guard.is_markovian()).count();
-        println!(
+        outln!(
             "  {:<40} {} locations, {} transitions ({} Markovian)",
             a.name,
             a.locations.len(),
@@ -40,7 +40,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             } else {
                 format!(" while {}", net.render_expr(&loc.invariant))
             };
-            println!("    mode {}{init}{inv}", loc.name);
+            outln!("    mode {}{init}{inv}", loc.name);
         }
         for t in &a.transitions {
             let label = match &t.guard {
@@ -49,7 +49,7 @@ pub fn run(args: &Args) -> Result<(), String> {
                 GuardKind::Boolean(g) => format!("when {}", net.render_expr(g)),
             };
             let urgent = if t.urgent { "urgent " } else { "" };
-            println!(
+            outln!(
                 "    {} -[ {urgent}{} {label} ]-> {}",
                 a.locations[t.from.0].name,
                 net.actions()[t.action.0].name,
@@ -58,9 +58,9 @@ pub fn run(args: &Args) -> Result<(), String> {
         }
     }
     if !net.flows().is_empty() {
-        println!("\nflows (topological order):");
+        outln!("\nflows (topological order):");
         for f in net.flows() {
-            println!("  {} := {}", net.name_of(f.target), net.render_expr(&f.expr));
+            outln!("  {} := {}", net.name_of(f.target), net.render_expr(&f.expr));
         }
     }
     Ok(())

@@ -12,10 +12,10 @@ struct StdinOracle;
 
 impl InputOracle for StdinOracle {
     fn choose(&mut self, view: &StepView<'_>) -> Result<InputChoice, SimError> {
-        println!("\nstate: {}", view.state);
-        println!("allowed delay window: {}", view.window);
+        outln!("\nstate: {}", view.state);
+        outln!("allowed delay window: {}", view.window);
         if view.guarded.is_empty() {
-            println!("no guarded transitions are schedulable from here");
+            outln!("no guarded transitions are schedulable from here");
         }
         for (i, c) in view.guarded.iter().enumerate() {
             let action = &view.net.actions()[c.transition.action.0].name;
@@ -25,14 +25,10 @@ impl InputOracle for StdinOracle {
                 .iter()
                 .map(|(p, _)| view.net.automata()[p.0].name.clone())
                 .collect();
-            println!(
-                "  [{i}] {action} ({}) enabled at delays {}",
-                participants.join("∥"),
-                c.window
-            );
+            outln!("  [{i}] {action} ({}) enabled at delays {}", participants.join("∥"), c.window);
         }
         loop {
-            print!("> fire <i> <delay> | wait <delay> | abort: ");
+            out!("> fire <i> <delay> | wait <delay> | abort: ");
             std::io::stdout().flush().ok();
             let mut line = String::new();
             if std::io::stdin().lock().read_line(&mut line).unwrap_or(0) == 0 {
@@ -53,7 +49,7 @@ impl InputOracle for StdinOracle {
                 }
                 _ => {}
             }
-            println!("could not parse that — try again");
+            outln!("could not parse that — try again");
         }
     }
 }
@@ -109,12 +105,12 @@ pub fn run(args: &Args) -> Result<(), String> {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
             let choices = parse_script(&text)?;
-            println!("replaying {} scripted decisions from {path}", choices.len());
+            outln!("replaying {} scripted decisions from {path}", choices.len());
             let mut strategy = Input::new(ScriptedOracle::new(choices));
             gen.generate_with(&mut SimScratch::new(), &mut strategy, &mut rng, &mut tracer)
         } else {
-            println!("interactive simulation — P(◇[0,{bound}] goal); you are the strategy.");
-            println!("(Markovian transitions still race with your schedule.)");
+            outln!("interactive simulation — P(◇[0,{bound}] goal); you are the strategy.");
+            outln!("(Markovian transitions still race with your schedule.)");
             let mut strategy = Input::new(StdinOracle);
             gen.generate_with(&mut SimScratch::new(), &mut strategy, &mut rng, &mut tracer)
         }
@@ -124,13 +120,13 @@ pub fn run(args: &Args) -> Result<(), String> {
             if let Some(path) = args.options.get("save-trace") {
                 std::fs::write(path, events_to_json_lines(&sink.events))
                     .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-                println!("trace written to {path} (replay with `slimsim replay {path}`)");
+                outln!("trace written to {path} (replay with `slimsim replay {path}`)");
             }
-            println!("\n--- path ---");
+            outln!("\n--- path ---");
             for e in &sink.events {
-                println!("  {e}");
+                outln!("  {e}");
             }
-            println!(
+            outln!(
                 "verdict: {} at t={:.6} after {} steps — the property is {}",
                 outcome.verdict,
                 outcome.end_time,
@@ -140,7 +136,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             Ok(())
         }
         Err(SimError::InputAborted) => {
-            println!("aborted.");
+            outln!("aborted.");
             Ok(())
         }
         Err(e) => Err(e.to_string()),

@@ -42,12 +42,12 @@ fn emit(args: &Args, diags: &[Diagnostic], src: Option<&SourceFile<'_>>) {
     if args.has_flag("json") {
         let rendered = render_json_all(diags, src.map(|s| s.name));
         if !rendered.is_empty() {
-            println!("{rendered}");
+            outln!("{rendered}");
         }
     } else {
         let rendered = render_text_all(diags, src);
         if !rendered.is_empty() {
-            println!("{rendered}");
+            outln!("{rendered}");
         }
     }
 }
@@ -126,7 +126,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             }
         }
         if all.is_empty() && !args.has_flag("json") && !args.has_flag("quiet") {
-            println!("clean: no lints");
+            outln!("clean: no lints");
         }
         Ok(())
     }
@@ -140,7 +140,7 @@ fn verify_bytecode(net: &Network, quiet: bool) -> Result<(), String> {
         .verify_bytecode()
         .map_err(|e| format!("bytecode verification failed: {e}"))?;
     if !quiet {
-        println!(
+        outln!(
             "bytecode: {} program(s) verified, {} op(s); {} static guard(s), {} fallback guard(s)",
             report.programs(),
             report.ops,

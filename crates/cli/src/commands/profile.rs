@@ -50,14 +50,14 @@ pub fn run(args: &Args) -> Result<(), String> {
     phases.end();
     if !args.has_flag("quiet") {
         let top = args.opt_usize("top", 10)?;
-        print!("{}", report.render_text(top));
-        println!("\nphases:");
-        print!("{}", phases.render());
+        out!("{}", report.render_text(top));
+        outln!("\nphases:");
+        out!("{}", phases.render());
         if let Some(path) = args.options.get("out") {
-            println!("profile written to {path}");
+            outln!("profile written to {path}");
         }
     }
-    println!("{}", result.estimate);
+    outln!("{}", result.estimate);
     Ok(())
 }
 

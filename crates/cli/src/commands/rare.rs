@@ -28,18 +28,19 @@ pub fn run(args: &Args) -> Result<(), String> {
 
     let r = analyze_rare(&net, &property, &config).map_err(|e| e.to_string())?;
     if !args.has_flag("quiet") {
-        println!("model      : {} automata, {} variables", net.automata().len(), net.vars().len());
-        println!("property   : P(◇[0,{bound}] goal), importance sampling");
-        println!("boost      : ×{} on all Markovian rates", config.boost);
-        println!("strategy   : {}", config.strategy);
-        println!(
+        outln!("model      : {} automata, {} variables", net.automata().len(), net.vars().len());
+        outln!("property   : P(◇[0,{bound}] goal), importance sampling");
+        outln!("boost      : ×{} on all Markovian rates", config.boost);
+        outln!("strategy   : {}", config.strategy);
+        outln!(
             "paths      : {} ({} hits under the biased measure)",
-            r.estimate.samples, r.estimate.hits
+            r.estimate.samples,
+            r.estimate.hits
         );
-        println!("converged  : {}", if r.converged { "yes" } else { "NO (max-paths hit)" });
-        println!("wall time  : {:?}", r.wall);
+        outln!("converged  : {}", if r.converged { "yes" } else { "NO (max-paths hit)" });
+        outln!("wall time  : {:?}", r.wall);
     }
-    println!("{}", r.estimate);
+    outln!("{}", r.estimate);
     if !r.converged {
         eprintln!(
             "warning: relative precision {} not reached; raise --boost or --max-paths",

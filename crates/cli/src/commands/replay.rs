@@ -54,17 +54,20 @@ pub fn run(args: &Args) -> Result<(), String> {
 
     let outcome = replay_events(&net, &property, &events).map_err(|e| e.to_string())?;
     if !args.has_flag("quiet") {
-        println!("trace      : {path}");
-        println!("model      : {model}");
-        println!("recorded   : path {path_index}, seed {seed}, strategy {strategy}");
-        println!(
+        outln!("trace      : {path}");
+        outln!("model      : {model}");
+        outln!("recorded   : path {path_index}, seed {seed}, strategy {strategy}");
+        outln!(
             "verified   : {} events ({} snapshots compared)",
-            outcome.events_checked, outcome.snapshots_checked
+            outcome.events_checked,
+            outcome.snapshots_checked
         );
     }
-    println!(
+    outln!(
         "verdict    : {} at t={:.6} after {} steps — replay agrees",
-        outcome.verdict, outcome.end_time, outcome.steps
+        outcome.verdict,
+        outcome.end_time,
+        outcome.steps
     );
     Ok(())
 }

@@ -24,7 +24,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         let report = ProfileReport::from_json(&json).map_err(|e| format!("{path}: {e}"))?;
         fail_on_problems(path, report.validate())?;
         if !args.has_flag("quiet") {
-            println!("{path}: valid kernel profile (schema v{})", report.schema_version);
+            outln!("{path}: valid kernel profile (schema v{})", report.schema_version);
             print_profile_summary(&report);
         }
         return Ok(());
@@ -118,13 +118,13 @@ fn validate_analysis_summary(json: &Json) -> Vec<String> {
 
 fn print_analysis_summary(path: &str, json: &Json) {
     let version = json.get("schema_version").and_then(Json::as_u64).unwrap_or(1);
-    println!("{path}: valid analysis summary (schema v{version})");
+    outln!("{path}: valid analysis summary (schema v{version})");
     let rounds = json.get("rounds").and_then(Json::as_u64).unwrap_or(0);
     let widenings = json.get("widenings").and_then(Json::as_u64).unwrap_or(0);
-    println!("  fixpoint : {rounds} round(s), {widenings} widening(s)");
+    outln!("  fixpoint : {rounds} round(s), {widenings} widening(s)");
     if let Some(z) = json.get("zones") {
         if !matches!(z, Json::Null) {
-            println!(
+            outln!(
                 "  zones    : {} clock(s), k = {}, {} zone-dead guard(s), {} timelock(s)",
                 z.get("clocks").and_then(Json::as_u64).unwrap_or(0),
                 z.get("k").and_then(Json::as_f64).unwrap_or(0.0),
@@ -134,7 +134,7 @@ fn print_analysis_summary(path: &str, json: &Json) {
         }
     }
     for a in json.get("automata").and_then(Json::as_arr).unwrap_or(&[]) {
-        println!(
+        outln!(
             "  {} : {}/{} locations reachable, {}/{} transitions live",
             a.get("name").and_then(Json::as_str).unwrap_or("?"),
             a.get("reachable").and_then(Json::as_u64).unwrap_or(0),
@@ -144,12 +144,12 @@ fn print_analysis_summary(path: &str, json: &Json) {
         );
     }
     let dead = json.get("dead_transitions").and_then(Json::as_arr).map_or(0, <[Json]>::len);
-    println!("  dead     : {dead} transition(s)");
+    outln!("  dead     : {dead} transition(s)");
     let with_goal = json.get("locations").and_then(Json::as_arr).map_or(0, |rows| {
         rows.iter().filter(|l| l.get("steps_to_goal").and_then(Json::as_u64).is_some()).count()
     });
     if with_goal > 0 {
-        println!("  distance : {with_goal} location(s) with a goal distance");
+        outln!("  distance : {with_goal} location(s) with a goal distance");
     }
 }
 
@@ -166,43 +166,46 @@ fn fail_on_problems(path: &str, problems: Vec<String>) -> Result<(), String> {
 }
 
 fn print_profile_summary(p: &ProfileReport) {
-    println!("  model    : {} (seed {}, {} paths)", p.model, p.seed, p.samples);
-    println!(
+    outln!("  model    : {} (seed {}, {} paths)", p.model, p.seed, p.samples);
+    outln!(
         "  kernel   : {} ops across {} opcodes, {} digrams, {} delay solves",
         p.total_ops,
         p.ops.len(),
         p.digrams.len(),
         p.delay_solves
     );
-    println!(
+    outln!(
         "  heat     : {} guards, {} transitions, {} locations ranked",
         p.guards.len(),
         p.transitions.len(),
         p.locations.len()
     );
     if p.batches > 0 {
-        println!("  batches  : {} ({} scalar drains)", p.batches, p.scalar_drains);
+        outln!("  batches  : {} ({} scalar drains)", p.batches, p.scalar_drains);
     }
     if let Some(hot) = p.ops.first() {
-        println!("  hottest  : {} ({} executions)", hot.label, hot.count);
+        outln!("  hottest  : {} ({} executions)", hot.label, hot.count);
     }
 }
 
 fn print_summary(path: &str, r: &RunReport) {
-    println!("{path}: valid run report (schema v{})", r.schema_version);
-    println!(
+    outln!("{path}: valid run report (schema v{})", r.schema_version);
+    outln!(
         "  tool     : {} {} on {}/{} ({} cpus)",
-        r.tool_name, r.tool_version, r.host.os, r.host.arch, r.host.cpus
+        r.tool_name,
+        r.tool_version,
+        r.host.os,
+        r.host.arch,
+        r.host.cpus
     );
-    println!(
+    outln!(
         "  model    : {} ({} automata, {} variables)",
-        r.model.name, r.model.automata, r.model.variables
+        r.model.name,
+        r.model.automata,
+        r.model.variables
     );
-    println!(
-        "  property : {} bound={} goal={}",
-        r.property.kind, r.property.bound, r.property.goal
-    );
-    println!(
+    outln!("  property : {} bound={} goal={}", r.property.kind, r.property.bound, r.property.goal);
+    outln!(
         "  config   : ε={} δ={} {} / {} seed={} workers={}",
         r.config.epsilon,
         r.config.delta,
@@ -211,7 +214,7 @@ fn print_summary(path: &str, r: &RunReport) {
         r.config.seed,
         r.config.workers
     );
-    println!(
+    outln!(
         "  estimate : {:.6} ± {} at {:.1}% confidence ({} samples, {} successes)",
         r.estimate.mean,
         r.estimate.epsilon,
@@ -225,15 +228,19 @@ fn print_summary(path: &str, r: &RunReport) {
         .map(|(name, ms)| format!("{name} {ms:.1}ms"))
         .collect::<Vec<_>>()
         .join(", ");
-    println!("  phases   : {phases} (wall {:.1}ms)", r.wall_ms);
+    outln!("  phases   : {phases} (wall {:.1}ms)", r.wall_ms);
     for w in &r.workers {
-        println!(
+        outln!(
             "  worker {} : {} paths ({} satisfied), busy {:.1}ms, {:.0} paths/s",
-            w.worker, w.paths, w.satisfied, w.busy_ms, w.paths_per_sec
+            w.worker,
+            w.paths,
+            w.satisfied,
+            w.busy_ms,
+            w.paths_per_sec
         );
     }
     if let Some(p) = &r.profile {
-        println!("  profile  : embedded kernel profile (schema v{})", p.schema_version);
+        outln!("  profile  : embedded kernel profile (schema v{})", p.schema_version);
         print_profile_summary(p);
     }
 }

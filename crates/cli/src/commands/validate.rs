@@ -10,7 +10,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("expected a .slim file")?;
     let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let model = parse(&src).map_err(|e| format!("{path}: {e}"))?;
-    println!(
+    outln!(
         "parsed `{path}`: {} types, {} implementations, {} error models, {} injections",
         model.types.len(),
         model.impls.len(),
@@ -21,7 +21,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let diags = analyze_model(&model);
     let source = SourceFile::new(path, &src);
     if !diags.is_empty() {
-        println!("{}", render_text_all(&diags, Some(&source)));
+        outln!("{}", render_text_all(&diags, Some(&source)));
     }
     let errors = error_count(&diags);
 
@@ -34,7 +34,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             .ok_or_else(|| format!("--root must be Type.Impl, got `{root}`"))?;
         let name = args.opt("name", "root");
         let net = lower(&model, ty, im, name).map_err(|e| format!("{path}: {e}"))?.network;
-        println!(
+        outln!(
             "lowering OK: {} automata, {} variables, {} actions, {} flows",
             net.automata().len(),
             net.vars().len(),

@@ -18,6 +18,26 @@ use slim_models::{
 use slim_stats::{Accuracy, GeneratorKind};
 use slimsim_core::prelude::*;
 
+/// Writes to stdout. A reader that went away (`slimsim … | head`) ends
+/// the process with exit code 0: nobody is left to read the rest. Any
+/// other write error ends it with exit code 1.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::{ErrorKind, Write};
+    if cfg!(test) {
+        // Unit tests keep the harness's output capture, which only
+        // `print!` feeds.
+        print!("{args}");
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// Loads the analyzed network: either a SLIM file (with `--root Type.Impl`)
 /// or a built-in model (`gps`, `launcher`, `launcher-permanent`,
 /// `sensor-filter`, with optional `--size n`).

@@ -15,6 +15,23 @@
 
 #![forbid(unsafe_code)]
 
+/// `print!` through [`common::write_stdout`], the CLI's one path to stdout.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::common::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`common::write_stdout`].
+macro_rules! outln {
+    () => {
+        $crate::common::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::common::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod args;
 mod commands;
 mod common;
@@ -90,7 +107,7 @@ LINTS (lint/analyze):
 fn main() {
     let args = Args::parse(std::env::args().skip(1));
     if args.command.is_empty() || args.has_flag("help") || args.command == "help" {
-        print!("{USAGE}");
+        out!("{USAGE}");
         return;
     }
     let result = match args.command.as_str() {

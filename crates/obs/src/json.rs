@@ -143,7 +143,7 @@ impl Json {
     /// # Errors
     /// A human-readable message with a byte offset on malformed input.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -184,6 +184,7 @@ fn write_string(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -343,16 +344,20 @@ impl Parser<'_> {
                         b => return Err(format!("bad escape `\\{}` at byte {start}", b as char)),
                     }
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(format!("unescaped control character at byte {}", self.pos));
+                }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| format!("invalid UTF-8 at byte {}", self.pos))?;
-                    let c = rest.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(format!("unescaped control character at byte {}", self.pos));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // A run of plain characters up to the next quote,
+                    // backslash or control byte. Those are all ASCII, so
+                    // the run ends on a character boundary of the input.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -405,6 +410,27 @@ mod tests {
             let v = Json::Num(n);
             assert_eq!(Json::parse(&v.to_compact()).unwrap().as_f64().unwrap(), n);
         }
+    }
+
+    #[test]
+    fn long_strings_with_multibyte_characters() {
+        let plain = "x".repeat(100_000);
+        for s in [
+            format!("é{plain}"),
+            format!("{plain}😀{plain}"),
+            format!("{plain}ü"),
+            format!("€{plain}\\n{plain}\"ß"),
+        ] {
+            let v = Json::str(s.clone());
+            assert_eq!(Json::parse(&v.to_compact()).unwrap().as_str(), Some(s.as_str()));
+        }
+        // Errors keep their byte offsets after multi-byte runs.
+        assert_eq!(
+            Json::parse("\"é€\u{1}\"").unwrap_err(),
+            "unescaped control character at byte 6"
+        );
+        assert_eq!(Json::parse("\"😀\\q\"").unwrap_err(), "bad escape `\\q` at byte 5");
+        assert_eq!(Json::parse("\"ab😀").unwrap_err(), "unterminated string");
     }
 
     #[test]

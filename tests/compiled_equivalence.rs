@@ -697,7 +697,8 @@ fn incremental_enabledness_matches_reference_lane_exact() {
 }
 
 /// The CTMC explorer's plain calls (`guarded_candidates_into`,
-/// `apply_mut`, `markovian_candidates_into` on unrelated states),
+/// `apply_mut`, `successors_begin`, `successor`,
+/// `markovian_candidates_into` on unrelated states),
 /// interleaved on the same scratch with the engine's stepping sequence,
 /// must neither read the sequence's cache nor leave it stale: the
 /// sequence stays lane-exact against the reference kernel throughout.
@@ -754,18 +755,120 @@ fn explore_calls_interleaved_with_stepping_stay_exact() {
                 // Explore-style expansion of the initial state on the
                 // engine's scratch, every few steps and after a restart.
                 if (step + path) % 3 == 0 {
+                    let mut parent = init.clone();
+                    net.successors_begin(&fast, &mut s, &parent);
                     net.guarded_candidates_into(&fast, &mut s, &init).unwrap();
                     let firings: Vec<_> = s.candidates().iter().map(|c| c.parts.clone()).collect();
-                    for parts in firings {
+                    for (c, parts) in firings.iter().enumerate() {
                         let mut succ = init.clone();
-                        let _ = net.apply_mut(&fast, &mut s, &mut succ, &parts);
+                        let _ = net.apply_mut(&fast, &mut s, &mut succ, parts);
+                        let fired = Firing::Guarded(c);
+                        let _ = net.successor(&fast, &mut s, &mut parent, fired, |_, _| ());
                     }
                     net.markovian_candidates_into(&fast, &mut s, &init);
+                    for m in 0..s.markovian().len() {
+                        let fired = Firing::Markovian(m);
+                        let _ = net.successor(&fast, &mut s, &mut parent, fired, |_, _| ());
+                    }
                     if step % 2 == 0 {
                         net.stepping_begin(&fast, &mut s, &st);
                     }
                 }
             }
+        }
+    }
+}
+
+/// An unvalidated network whose effects write a flow target, which
+/// validation forbids: `y := x + z`, with Markovian steps that break the
+/// flow (`y := 3`), mask it without changing what it reads (`z := 0`),
+/// and do both at once. Its stored states need not satisfy the flow.
+fn flow_target_writer() -> Network {
+    let mut b = NetworkBuilder::new();
+    let x = b.var("x", VarType::Int { lo: 0, hi: 2 }, Value::Int(0));
+    let z = b.var("z", VarType::Int { lo: 0, hi: 1 }, Value::Int(0));
+    let y = b.var("y", VarType::Int { lo: 0, hi: 3 }, Value::Int(0));
+    b.flow(y, Expr::var(x).add(Expr::var(z)));
+    let mut a = AutomatonBuilder::new("p");
+    let l = a.location("l");
+    let bump = Expr::var(x).add(Expr::int(1)).min(Expr::int(2));
+    a.markovian(l, 1.0, [Effect::assign(x, bump)], l);
+    a.markovian(l, 1.0, [Effect::assign(y, Expr::int(3))], l);
+    a.markovian(l, 1.0, [Effect::assign(z, Expr::int(0))], l);
+    a.markovian(l, 1.0, [Effect::assign(y, Expr::int(3)), Effect::assign(z, Expr::int(0))], l);
+    b.add_automaton(a);
+    b.assemble_for_validation().unwrap()
+}
+
+/// `successor` fires in place exactly what `apply_mut` builds from a
+/// copy — the same state or the same error — lists every moved process
+/// and changed variable in its delta, and leaves the parent as it was.
+/// Checked on every candidate (windows ignored) of the first states of a
+/// breadth-first walk through the model zoo, the cache edge models and
+/// an unvalidated network whose effects write a flow target.
+#[test]
+fn successor_in_place_matches_apply_mut() {
+    let mut models: Vec<(&str, Network)> =
+        model_zoo().into_iter().map(|(name, net, _)| (name, net)).collect();
+    models.extend(cache_edge_models().into_iter().map(|(name, net, _)| (name, net)));
+    models.push(("flow_target_writer", flow_target_writer()));
+    for (name, net) in &models {
+        let t = net.compile();
+        let (mut s, mut r) = (StepScratch::new(), StepScratch::new());
+        let mut queue = vec![net.initial_state().unwrap()];
+        let mut seen: Vec<String> = vec![format!("{:?}", queue[0])];
+        let mut here = 0;
+        while here < queue.len() && here < 40 {
+            let state = queue[here].clone();
+            let mut parent = state.clone();
+            net.successors_begin(&t, &mut s, &parent);
+            net.guarded_candidates_into(&t, &mut s, &state).unwrap();
+            let guarded = s.candidates().iter().map(|c| c.parts.clone());
+            let mut firings: Vec<_> =
+                guarded.enumerate().map(|(c, parts)| (Firing::Guarded(c), parts)).collect();
+            net.markovian_candidates_into(&t, &mut s, &state);
+            let markovian = s.markovian().iter().map(|&(p, tr, _)| vec![(p, tr)]);
+            firings.extend(markovian.enumerate().map(|(m, parts)| (Firing::Markovian(m), parts)));
+            for (firing, parts) in firings {
+                let mut want = state.clone();
+                let want = net.apply_mut(&t, &mut r, &mut want, &parts).map(|()| want);
+                let got = net.successor(&t, &mut s, &mut parent, firing, |n, d| {
+                    (n.clone(), d.moved().collect::<Vec<_>>(), d.changed().collect::<Vec<_>>())
+                });
+                assert_eq!(
+                    format!("{parent:?}"),
+                    format!("{state:?}"),
+                    "{name}: parent not restored"
+                );
+                let (next, moved, changed) = match (want, got) {
+                    (Ok(want), Ok(got)) => {
+                        assert_eq!(
+                            format!("{want:?}"),
+                            format!("{:?}", got.0),
+                            "{name}: {parts:?}"
+                        );
+                        got
+                    }
+                    (want, got) => {
+                        assert_eq!(want.err(), got.err(), "{name}: {parts:?}");
+                        continue;
+                    }
+                };
+                for (p, (a, b)) in state.locs.iter().zip(&next.locs).enumerate() {
+                    assert_eq!(a != b, moved.contains(&ProcId(p)), "{name}: moved {p}");
+                }
+                for ((v, a), (_, b)) in state.nu.iter().zip(next.nu.iter()) {
+                    if !a.same_bits(b) {
+                        assert!(changed.contains(&v), "{name}: {v:?} changed unlisted");
+                    }
+                }
+                let key = format!("{next:?}");
+                if !seen.contains(&key) {
+                    seen.push(key);
+                    queue.push(next);
+                }
+            }
+            here += 1;
         }
     }
 }

@@ -9,7 +9,7 @@
 //! scheduled heavy job / `cargo test -- --ignored`.
 
 use slim_ctmc::analysis::{check_timed_reachability, PipelineConfig};
-use slim_ctmc::{eliminate, explore, Ctmc, ExploreConfig, Imc, ImcRow};
+use slim_ctmc::{eliminate, explore, Ctmc, CtmcError, ExploreConfig, Imc, ImcRow};
 use slim_models::{
     repair_failure_probability, repair_network, sensor_filter_network, voting_failure_probability,
     voting_network, RepairParams, SensorFilterParams, VotingParams, GOAL_VAR, REPAIR_GOAL_VAR,
@@ -231,7 +231,10 @@ fn ctmc_pipeline_golden_bits() {
 /// state per successor) — the semantics the packed explorer must
 /// reproduce state for state. Every Markovian edge is kept, those of
 /// vanishing states included.
-fn reference_rows(net: &Network, goal: &dyn Fn(&NetState) -> bool) -> Vec<ImcRow> {
+fn reference_rows(
+    net: &Network,
+    goal: &dyn Fn(&NetState) -> bool,
+) -> Result<Vec<ImcRow>, EvalError> {
     let key = |s: &NetState| -> (Vec<LocId>, Vec<i64>) {
         let vals = s.nu.as_slice().iter().map(|v| match *v {
             Value::Bool(b) => i64::from(b),
@@ -256,27 +259,27 @@ fn reference_rows(net: &Network, goal: &dyn Fn(&NetState) -> bool) -> Vec<ImcRow
     while here < queue.len() {
         let state = queue[here].clone();
         let (mut interactive, mut markovian) = (vec![], vec![]);
-        for cand in net.guarded_candidates(&state).unwrap() {
+        for cand in net.guarded_candidates(&state)? {
             if cand.window.contains(0.0) {
-                let next = net.apply(&state, &cand.transition).unwrap();
+                let next = net.apply(&state, &cand.transition)?;
                 interactive.push(intern(next, &mut queue));
             }
         }
         for cand in net.markovian_candidates(&state) {
-            let next = net.apply(&state, &cand.transition).unwrap();
+            let next = net.apply(&state, &cand.transition)?;
             markovian.push((intern(next, &mut queue), cand.rate));
         }
         rows.push((goal(&state), interactive, markovian));
         here += 1;
     }
-    rows
+    Ok(rows)
 }
 
 /// The reference IMC under maximal progress: the Markovian row of every
 /// state with an immediate successor is dropped, and its edges counted
 /// as preempted.
-fn reference_imc(net: &Network, goal: &dyn Fn(&NetState) -> bool) -> Imc {
-    let mut rows = reference_rows(net, goal);
+fn reference_imc(net: &Network, goal: &dyn Fn(&NetState) -> bool) -> Result<Imc, EvalError> {
+    let mut rows = reference_rows(net, goal)?;
     let mut preempted = 0;
     for (_, interactive, markovian) in &mut rows {
         if !interactive.is_empty() {
@@ -284,10 +287,124 @@ fn reference_imc(net: &Network, goal: &dyn Fn(&NetState) -> bool) -> Imc {
             markovian.clear();
         }
     }
-    Imc::from_rows(&rows).with_preempted(preempted)
+    Ok(Imc::from_rows(&rows).with_preempted(preempted))
 }
 
-/// The untimed cases plus sensor–filter n = 4, with their goal predicates.
+/// A unit `name` with one location and a Markovian self-loop running
+/// `effects`.
+fn markov_loop(name: &str, rate: f64, effects: Vec<Effect>) -> AutomatonBuilder {
+    let mut a = AutomatonBuilder::new(name);
+    let l = a.location("l");
+    a.markovian(l, rate, effects, l);
+    a
+}
+
+/// A monitor that sets `flag` once `cond` holds: an immediate,
+/// acyclic step.
+fn latch(name: &str, cond: Expr, flag: VarId) -> AutomatonBuilder {
+    let mut a = AutomatonBuilder::new(name);
+    let l = a.location("l");
+    a.guarded(
+        l,
+        ActionId::TAU,
+        cond.and(Expr::var(flag).not()),
+        [Effect::assign(flag, Expr::TRUE)],
+        l,
+    );
+    a
+}
+
+/// `v := (v + 1) min hi`: at `hi` the effect writes back the value `v`
+/// already holds.
+fn bump(v: VarId, hi: i64) -> Effect {
+    Effect::assign(v, Expr::var(v).add(Expr::int(1)).min(Expr::int(hi)))
+}
+
+/// A flow whose read set depends on a branch: `out := if sel then a
+/// else b`, so a change to the unselected input leaves it alone. The
+/// inputs saturate, so their bumps also write back held values.
+fn branch_reads_network() -> Network {
+    let mut b = NetworkBuilder::new();
+    let sel = b.var("sel", VarType::Bool, Value::Bool(false));
+    let x = b.var("a", VarType::Int { lo: 0, hi: 2 }, Value::Int(0));
+    let y = b.var("b", VarType::Int { lo: 0, hi: 2 }, Value::Int(0));
+    let out = b.var("out", VarType::Int { lo: 0, hi: 2 }, Value::Int(0));
+    let hit = b.var("hit", VarType::Bool, Value::Bool(false));
+    b.flow(out, Expr::ite(Expr::var(sel), Expr::var(x), Expr::var(y)));
+    b.add_automaton(markov_loop("toggle", 0.5, vec![Effect::assign(sel, Expr::var(sel).not())]));
+    b.add_automaton(markov_loop("pa", 1.0, vec![bump(x, 2)]));
+    b.add_automaton(markov_loop("pb", 2.0, vec![bump(y, 2)]));
+    b.add_automaton(latch("mon", Expr::var(out).eq(Expr::int(2)).and(Expr::var(sel)), hit));
+    b.build().unwrap()
+}
+
+/// A flow that reads another flow's target: `mid := x + y`, then `top
+/// := mid >= 3`, so a change to `x` reaches `top` only through `mid`'s
+/// re-run.
+fn flow_chain_network() -> Network {
+    let mut b = NetworkBuilder::new();
+    let x = b.var("x", VarType::Int { lo: 0, hi: 2 }, Value::Int(0));
+    let y = b.var("y", VarType::Int { lo: 0, hi: 2 }, Value::Int(0));
+    let mid = b.var("mid", VarType::Int { lo: 0, hi: 4 }, Value::Int(0));
+    let top = b.var("top", VarType::Bool, Value::Bool(false));
+    let seen = b.var("seen", VarType::Bool, Value::Bool(false));
+    b.flow(mid, Expr::var(x).add(Expr::var(y)));
+    b.flow(top, Expr::var(mid).ge(Expr::int(3)));
+    b.add_automaton(markov_loop("px", 1.0, vec![bump(x, 2)]));
+    b.add_automaton(markov_loop("py", 0.5, vec![bump(y, 2)]));
+    b.add_automaton(markov_loop("reset", 0.25, vec![Effect::assign(x, Expr::int(0))]));
+    b.add_automaton(latch("mon", Expr::var(top), seen));
+    b.build().unwrap()
+}
+
+/// A synchronizing pair whose parts both write `v`, the later part
+/// winning: on the first `go` part `b` writes back `v`'s pre-state value
+/// over part `a`'s `v + 1`, on the second its `v + 2` overrides `v + 1`.
+/// A flow, a Markovian decrement and the immediate `look` (enumerated
+/// after `go`, from the same parent) read `v`.
+fn sync_same_var_network() -> Network {
+    let mut b = NetworkBuilder::new();
+    let go = b.action("go");
+    let look = b.action("look");
+    let v = b.var("v", VarType::Int { lo: 0, hi: 6 }, Value::Int(0));
+    let seen = b.var("seen", VarType::Int { lo: 0, hi: 6 }, Value::Int(0));
+    let high = b.var("high", VarType::Bool, Value::Bool(false));
+    b.flow(high, Expr::var(v).ge(Expr::int(3)));
+    let add = |k: i64| Expr::var(v).add(Expr::int(k)).min(Expr::int(6));
+    // Each part steps `0 → 1 → 2` on `go` and returns to 0 at rate 1.
+    for (name, first, second) in [("a", add(1), add(1)), ("b", Expr::var(v), add(2))] {
+        let mut a = AutomatonBuilder::new(name);
+        let l: Vec<LocId> = (0..3).map(|i| a.location(format!("{name}{i}"))).collect();
+        a.guarded(l[0], go, Expr::TRUE, [Effect::assign(v, first)], l[1]);
+        a.guarded(l[1], go, Expr::TRUE, [Effect::assign(v, second)], l[2]);
+        a.markovian(l[2], 1.0, [], l[0]);
+        b.add_automaton(a);
+    }
+    let mut probe = AutomatonBuilder::new("probe");
+    let l = probe.location("l");
+    let differs = Expr::var(seen).ne(Expr::var(v));
+    probe.guarded(l, look, differs, [Effect::assign(seen, Expr::var(v))], l);
+    b.add_automaton(probe);
+    let dec = Effect::assign(v, Expr::var(v).sub(Expr::int(1)).max(Expr::int(0)));
+    b.add_automaton(markov_loop("dec", 0.5, vec![dec]));
+    b.build().unwrap()
+}
+
+/// A re-run flow that fails its range check: `y := 2·x` leaves `0..=4`
+/// once `x` reaches 3, three Markovian steps in.
+fn flow_range_error_network() -> Network {
+    let mut b = NetworkBuilder::new();
+    let x = b.var("x", VarType::Int { lo: 0, hi: 3 }, Value::Int(0));
+    let y = b.var("y", VarType::Int { lo: 0, hi: 4 }, Value::Int(0));
+    b.var("never", VarType::Bool, Value::Bool(false));
+    b.flow(y, Expr::var(x).mul(Expr::int(2)));
+    b.add_automaton(markov_loop("px", 1.0, vec![bump(x, 3)]));
+    b.build().unwrap()
+}
+
+/// The untimed cases, sensor–filter n = 4 and hand-built networks that
+/// stress the explorer's parent-read flow rule, with their goal
+/// predicates.
 fn explore_cases() -> Vec<(Case, impl Fn(&NetState) -> bool)> {
     let mut all = cases();
     all.push(Case {
@@ -296,6 +413,14 @@ fn explore_cases() -> Vec<(Case, impl Fn(&NetState) -> bool)> {
         goal_var: GOAL_VAR,
         bound: 2.0,
     });
+    for (name, net, goal_var) in [
+        ("branch-reads", branch_reads_network(), "hit"),
+        ("flow-chain", flow_chain_network(), "seen"),
+        ("sync-same-var", sync_same_var_network(), "high"),
+        ("flow-range-error", flow_range_error_network(), "never"),
+    ] {
+        all.push(Case { name, net, goal_var, bound: 1.0 });
+    }
     all.into_iter()
         .map(|case| {
             let failed = case.net.var_id(case.goal_var).unwrap();
@@ -307,14 +432,26 @@ fn explore_cases() -> Vec<(Case, impl Fn(&NetState) -> bool)> {
 /// The production explorer (compiled kernel, packed state store) builds
 /// exactly the maximal-progress IMC of a reference-API breadth-first
 /// search: same state numbering, same edge order, same rates, same goal
-/// labels, same preempted count.
+/// labels, same preempted count — or fails with the same evaluation
+/// error.
 #[test]
 fn explore_matches_reference_step_api() {
+    let mut failures = 0;
     for (case, holds) in explore_cases() {
-        let explored = explore(&case.net, &|s| Ok(holds(s)), &ExploreConfig::default()).unwrap();
-        assert_eq!(explored.imc, reference_imc(&case.net, &holds), "{}", case.name);
-        assert_eq!(explored.states, explored.imc.len());
+        let explored = explore(&case.net, &|s| Ok(holds(s)), &ExploreConfig::default());
+        match reference_imc(&case.net, &holds) {
+            Ok(imc) => {
+                let explored = explored.unwrap();
+                assert_eq!(explored.imc, imc, "{}", case.name);
+                assert_eq!(explored.states, explored.imc.len());
+            }
+            Err(e) => {
+                assert_eq!(explored.unwrap_err(), CtmcError::Eval(e), "{}", case.name);
+                failures += 1;
+            }
+        }
     }
+    assert_eq!(failures, 1, "exactly the range-error case fails");
 }
 
 /// `(state, probability or rate bits)` entries.
@@ -334,8 +471,16 @@ fn ctmc_bits(c: &Ctmc) -> (Vec<bool>, BitEntries, Vec<BitEntries>) {
 fn preempted_edges_never_reach_the_ctmc() {
     let mut preempted = 0;
     for (case, holds) in explore_cases() {
-        let explored = explore(&case.net, &|s| Ok(holds(s)), &ExploreConfig::default()).unwrap();
-        let unfiltered = Imc::from_rows(&reference_rows(&case.net, &holds));
+        let explored = explore(&case.net, &|s| Ok(holds(s)), &ExploreConfig::default());
+        let rows = match reference_rows(&case.net, &holds) {
+            Ok(rows) => rows,
+            Err(e) => {
+                assert_eq!(explored.unwrap_err(), CtmcError::Eval(e), "{}", case.name);
+                continue;
+            }
+        };
+        let explored = explored.unwrap();
+        let unfiltered = Imc::from_rows(&rows);
         assert_eq!(unfiltered.transition_count(), explored.imc.transition_count(), "{}", case.name);
         preempted += explored.imc.preempted();
         let want = ctmc_bits(&eliminate(&unfiltered).unwrap());
