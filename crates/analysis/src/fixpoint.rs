@@ -37,7 +37,8 @@ use slim_automata::automaton::{ActionId, GuardKind, LocId, ProcId, TransId};
 use slim_automata::expr::{BinOp, Expr, VarId};
 use slim_automata::network::{NetUid, Network, PrunePlan};
 use slim_automata::value::{Value, VarType};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Joins tolerated per (process, location) env — and per store variable —
 /// before widening kicks in. Zone joins use the same threshold.
@@ -76,7 +77,10 @@ pub enum TransStatus {
 
 /// Result of [`analyze_network`]: reachability, per-transition liveness,
 /// and abstract environments, plus iteration statistics.
-#[derive(Debug, Clone)]
+///
+/// `Debug` shows the published result only, not the [`FixpointWork`]
+/// counts, so a change that only saves work keeps every rendering.
+#[derive(Clone)]
 pub struct Fixpoint {
     /// Location reachability, `[proc][loc]`.
     reachable: Vec<Vec<bool>>,
@@ -115,12 +119,57 @@ pub struct Fixpoint {
     pub rounds: usize,
     /// Number of widening applications.
     pub widenings: usize,
+    /// What the engine computed to get here.
+    work: FixpointWork,
+}
+
+impl std::fmt::Debug for Fixpoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Fixpoint")
+            .field("reachable", &self.reachable)
+            .field("envs", &self.envs)
+            .field("priv_vars", &self.priv_vars)
+            .field("store", &self.store)
+            .field("status", &self.status)
+            .field("doomed_effects", &self.doomed_effects)
+            .field("zones_enabled", &self.zones_enabled)
+            .field("extrapolation_k", &self.extrapolation_k)
+            .field("zone_clock_count", &self.zone_clock_count)
+            .field("min_time", &self.min_time)
+            .field("zone_dead", &self.zone_dead)
+            .field("timelocks", &self.timelocks)
+            .field("trans_min_time", &self.trans_min_time)
+            .field("rounds", &self.rounds)
+            .field("widenings", &self.widenings)
+            .finish()
+    }
+}
+
+/// Deterministic counts of the work one engine run did, for comparing
+/// two versions of the engine on the same networks (they repeat exactly
+/// for a given network and options).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FixpointWork {
+    /// `(process, location)` processings (stale locations visited).
+    pub locations: usize,
+    /// Post-images computed: transitions that passed their guard.
+    pub posts: usize,
+    /// Flow expressions evaluated inside post-images. A flow whose
+    /// inputs equal its baseline's bit for bit takes the baseline's value
+    /// and is not counted, so this is at most `posts × flows`.
+    pub flow_evals: usize,
+    /// Zone canonicalizations ([`Dbm::close`]), the engine's dominant
+    /// zone cost, over the search and the final classification.
+    pub zone_closures: usize,
+    /// The part of `zone_closures` spent on processes without a tracked
+    /// clock, whose zone can never constrain anything.
+    pub clockless_zone_closures: usize,
 }
 
 /// Runs the fixpoint over `net` with default options (zone product on;
 /// the network should have passed validation — on malformed networks the
 /// analysis may panic on out-of-range indices).
-pub fn analyze_network(net: &Network) -> Fixpoint {
+pub fn analyze_network(net: &Network) -> Rc<Fixpoint> {
     analyze_network_with(net, &AnalysisOptions::default())
 }
 
@@ -132,21 +181,23 @@ pub fn analyze_network(net: &Network) -> Fixpoint {
 /// which together determine the fixpoint completely. The key is exact
 /// because a [`Network`] cannot change after assembly: equal ids mean
 /// clones of one assembly. So the lint pre-flight, the pre-verdict and
-/// the CLI's prune/summary step share one engine run whenever the
-/// property deadline does not raise `k`, while a pruned network (fresh
-/// id) is analysed afresh.
-pub fn analyze_network_with(net: &Network, opts: &AnalysisOptions) -> Fixpoint {
-    let k = if opts.zones { extrapolation_k(net, opts.deadline) } else { 0.0 };
+/// the CLI's prune/summary step share one engine run — and one shared
+/// result — whenever the property deadline does not raise `k`, while a
+/// pruned network (fresh id) is analysed afresh.
+pub fn analyze_network_with(net: &Network, opts: &AnalysisOptions) -> Rc<Fixpoint> {
+    let facts = opts.zones.then(|| net_facts(net));
+    let k = facts.as_ref().map_or(0.0, |f| f.extrapolation_k(opts.deadline));
     let key = (net.uid(), opts.zones, k.to_bits());
     let hit = LAST_FIXPOINT.with_borrow(|slot| match slot {
-        Some((at, fix)) if *at == key => Some(fix.clone()),
+        Some((at, fix)) if *at == key => Some(Rc::clone(fix)),
         _ => None,
     });
     if let Some(fix) = hit {
         return fix;
     }
-    let fix = Engine::new(net, opts.zones, k).run();
-    LAST_FIXPOINT.set(Some((key, fix.clone())));
+    let tracked = facts.as_ref().map_or(&[][..], |f| &f.tracked[..]);
+    let fix = Rc::new(Engine::new(net, k, tracked, opts.zones).run());
+    LAST_FIXPOINT.set(Some((key, Rc::clone(&fix))));
     fix
 }
 
@@ -156,7 +207,7 @@ type MemoKey = (NetUid, bool, u64);
 
 thread_local! {
     /// The last fixpoint computed on this thread, under its key.
-    static LAST_FIXPOINT: RefCell<Option<(MemoKey, Fixpoint)>> = const { RefCell::new(None) };
+    static LAST_FIXPOINT: RefCell<Option<(MemoKey, Rc<Fixpoint>)>> = const { RefCell::new(None) };
 }
 
 #[cfg(test)]
@@ -165,34 +216,50 @@ thread_local! {
     static ENGINE_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// The zone domain's extrapolation constant for `net` under a property
-/// `deadline`: the largest magnitude among the deadline, every literal of
-/// the model's invariants, guards, effects and flows, and the initial
-/// values of the tracked clocks — and at least 1. The engine and the
-/// memo key of [`analyze_network_with`] both take `k` from here. The
-/// deadline-free part is a pure function of the network, so it is
+/// What the zone product needs of a network regardless of the deadline.
+struct NetFacts {
+    uid: NetUid,
+    /// The deadline-free part of the extrapolation constant.
+    k: f64,
+    /// [`tracked_clocks`].
+    tracked: Vec<(VarId, Option<usize>)>,
+}
+
+impl NetFacts {
+    /// The zone domain's extrapolation constant under a property
+    /// `deadline`: the largest magnitude among the deadline, every literal
+    /// of the model's invariants, guards, effects and flows, and the
+    /// initial values of the tracked clocks — and at least 1. The engine
+    /// and the memo key of [`analyze_network_with`] both take `k` from
+    /// here. `max` keeps the larger of two magnitudes exactly, so
+    /// splitting the deadline off the network part is bit-identical.
+    fn extrapolation_k(&self, deadline: Option<f64>) -> f64 {
+        deadline.unwrap_or(0.0).abs().max(self.k)
+    }
+}
+
+/// The [`NetFacts`] of `net`: a pure function of the network, so it is
 /// memoized per thread under the network's [`NetUid`], like the fixpoint.
-fn extrapolation_k(net: &Network, deadline: Option<f64>) -> f64 {
-    let net_k = LAST_NET_K.with(|slot| match slot.get() {
-        Some((uid, k)) if uid == net.uid() => k,
+fn net_facts(net: &Network) -> Rc<NetFacts> {
+    LAST_NET_FACTS.with_borrow_mut(|slot| match slot {
+        Some(facts) if facts.uid == net.uid() => Rc::clone(facts),
         _ => {
-            let k = network_k(net);
-            slot.set(Some((net.uid(), k)));
-            k
+            let tracked = tracked_clocks(net);
+            let facts = Rc::new(NetFacts { uid: net.uid(), k: network_k(net, &tracked), tracked });
+            *slot = Some(Rc::clone(&facts));
+            facts
         }
-    });
-    deadline.unwrap_or(0.0).abs().max(net_k)
+    })
 }
 
 thread_local! {
-    /// The deadline-free extrapolation constant of the last network seen
-    /// on this thread.
-    static LAST_NET_K: Cell<Option<(NetUid, f64)>> = const { Cell::new(None) };
+    /// The facts of the last network the zone product saw on this thread.
+    static LAST_NET_FACTS: RefCell<Option<Rc<NetFacts>>> = const { RefCell::new(None) };
 }
 
-/// [`extrapolation_k`] without the deadline. `max` keeps the larger of
-/// two magnitudes exactly, so splitting the deadline off is bit-identical.
-fn network_k(net: &Network) -> f64 {
+/// The deadline-free extrapolation constant of `net`, whose zone product
+/// tracks the clocks `tracked`.
+fn network_k(net: &Network, tracked: &[(VarId, Option<usize>)]) -> f64 {
     let mut k = 0.0f64;
     for a in net.automata() {
         for l in &a.locations {
@@ -210,7 +277,7 @@ fn network_k(net: &Network) -> f64 {
     for f in net.flows() {
         k = k.max(max_literal(&f.expr));
     }
-    for (v, _) in tracked_clocks(net) {
+    for (v, _) in tracked {
         let decl = &net.vars()[v.0];
         if let Value::Real(r) = decl.ty.canonicalize(decl.init) {
             k = k.max(r.abs());
@@ -265,8 +332,7 @@ struct Engine<'n> {
     priv_vars: Vec<Vec<VarId>>,
     /// Global var → index into its owner's `priv_vars` list.
     priv_idx: Vec<Option<(usize, usize)>>,
-    /// Outgoing transitions per `[proc][loc]`, in transition order.
-    out: Vec<Vec<Vec<usize>>>,
+    out: Outgoing,
     reachable: Vec<Vec<bool>>,
     envs: Vec<Vec<Option<Vec<AbsVal>>>>,
     env_joins: Vec<Vec<u32>>,
@@ -279,22 +345,28 @@ struct Engine<'n> {
     zones_on: bool,
     k: f64,
     zclocks: Vec<Vec<VarId>>,
-    /// Per process: var → 1-based DBM index of its tracked clock.
+    /// Per process: var → 1-based DBM index of its tracked clock. Empty
+    /// for a process without tracked clocks: it does no zone work.
     zidx: Vec<Vec<Option<usize>>>,
-    /// Residence zone per `[proc][loc]` (`None` until reached). May be
-    /// non-canonical after widening/extrapolation; readers re-close.
+    /// Residence zone per `[proc][loc]` (`None` until reached, and always
+    /// for a process without tracked clocks). May be non-canonical after
+    /// widening/extrapolation; readers re-close.
     zones: Vec<Vec<Option<Dbm>>>,
     zone_joins: Vec<Vec<u32>>,
     deps: Deps,
-    /// Reused per-transition buffers: the frame, the effect writes, the
-    /// guard-met source zone and the target residence zone.
+    flows: FlowBaseline,
+    /// Reused buffers: the frame, the effect writes, the canonical
+    /// residence zone of the location being processed, the guard-met
+    /// source zone of a transition and the target residence zone.
     frame_buf: Vec<AbsVal>,
     writes_buf: Vec<(VarId, AbsVal)>,
-    zone_buf: Option<Dbm>,
+    loc_zone: Dbm,
+    zone_buf: Dbm,
     res_buf: Dbm,
     changed: bool,
     rounds: usize,
     widenings: usize,
+    work: FixpointWork,
 }
 
 /// Change stamps for dirty-location scheduling.
@@ -309,44 +381,73 @@ struct Engine<'n> {
 /// skipping it leaves the sequence of effective joins — and with it
 /// `rounds` and `widenings` — exactly as the plain round-robin produces
 /// it.
+///
+/// Locations go by their [`Outgoing::index`], and the per-location
+/// lists are slices of one array each.
 struct Deps {
     tick: u64,
-    /// Tick at the start of the last processing of `[proc][loc]`.
-    seen: Vec<Vec<u64>>,
-    /// Last change of the env or zone at `[proc][loc]`.
-    loc: Vec<Vec<u64>>,
+    /// Tick at the start of the last processing of each location.
+    seen: Vec<u64>,
+    /// Last change of the env or zone at each location.
+    loc: Vec<u64>,
     /// Last change per store variable.
     var: Vec<u64>,
     /// Last change of a live flag per action.
     action: Vec<u64>,
-    /// Store variables read from `[proc][loc]`. Timed variables (pinned
-    /// to ⊤ for good) and the process's own private variables (the frame
-    /// takes them from the env) are left out.
-    reads: Vec<Vec<Vec<usize>>>,
-    /// Sync actions of the outgoing transitions of `[proc][loc]`.
-    syncs: Vec<Vec<Vec<usize>>>,
+    /// Store variables read by the outgoing guards, effects and target
+    /// invariants of location `i`: `reads[read_at[i]..read_at[i + 1]]`.
+    /// Timed variables (pinned to ⊤ for good) and the process's own
+    /// private variables (the frame takes them from the env) are left
+    /// out, here and in `flow_reads`.
+    reads: Vec<usize>,
+    read_at: Vec<usize>,
+    /// Store variables the flows read, as seen from process `p`:
+    /// `flow_reads[flow_read_at[p]..flow_read_at[p + 1]]`. They are
+    /// inputs of every location of `p` with an outgoing transition.
+    flow_reads: Vec<usize>,
+    flow_read_at: Vec<usize>,
+    /// Whether location `i` has an outgoing transition.
+    has_out: Vec<bool>,
+    /// Sync actions of the outgoing transitions of location `i`:
+    /// `syncs[sync_at[i]..sync_at[i + 1]]`.
+    syncs: Vec<usize>,
+    sync_at: Vec<usize>,
 }
 
 impl Deps {
     fn new(
         net: &Network,
-        out: &[Vec<Vec<usize>>],
+        out: &Outgoing,
         priv_idx: &[Option<(usize, usize)>],
         timed: &[bool],
     ) -> Deps {
-        let mut flow_reads = Vec::new();
+        let mut read_by_flows = Vec::new();
         for f in net.flows() {
-            f.expr.collect_vars(&mut flow_reads);
+            f.expr.collect_vars(&mut read_by_flows);
         }
-        let mut reads = Vec::with_capacity(out.len());
-        let mut syncs = Vec::with_capacity(out.len());
+        let nprocs = net.automata().len();
+        let nlocs = out.locations();
+        // A store variable as process `p`'s frame reads it.
+        let store_var =
+            |p: usize, v: &VarId| !timed[v.0] && priv_idx[v.0].is_none_or(|(owner, _)| owner != p);
+        let (mut flow_reads, mut flow_read_at) = (Vec::new(), Vec::with_capacity(nprocs + 1));
+        let (mut reads, mut read_at) = (Vec::new(), Vec::with_capacity(nlocs + 1));
+        let (mut syncs, mut sync_at) = (Vec::new(), Vec::with_capacity(nlocs + 1));
+        let mut has_out = Vec::with_capacity(nlocs);
+        flow_read_at.push(0);
+        read_at.push(0);
+        sync_at.push(0);
+        let mut r = Vec::new();
         for (p, a) in net.automata().iter().enumerate() {
-            let (mut rp, mut sp) = (Vec::new(), Vec::new());
-            for ts in &out[p] {
-                let (mut r, mut s) = (Vec::new(), Vec::new());
-                if !ts.is_empty() {
-                    r.extend_from_slice(&flow_reads);
-                }
+            let first_flow_read = flow_reads.len();
+            flow_reads.extend(read_by_flows.iter().filter(|v| store_var(p, v)).map(|v| v.0));
+            sort_dedup_tail(&mut flow_reads, first_flow_read);
+            flow_read_at.push(flow_reads.len());
+            for l in 0..a.locations.len() {
+                let ts = out.of(p, l);
+                has_out.push(!ts.is_empty());
+                r.clear();
+                let first_sync = syncs.len();
                 for &t in ts {
                     let trans = &a.transitions[t];
                     if let GuardKind::Boolean(g) = &trans.guard {
@@ -357,33 +458,31 @@ impl Deps {
                     }
                     a.locations[trans.to.0].invariant.collect_vars(&mut r);
                     if !trans.action.is_tau() {
-                        s.push(trans.action.0);
+                        syncs.push(trans.action.0);
                     }
                 }
-                let mut r: Vec<usize> = r
-                    .into_iter()
-                    .filter(|v| !timed[v.0] && priv_idx[v.0].is_none_or(|(owner, _)| owner != p))
-                    .map(|v| v.0)
-                    .collect();
-                r.sort_unstable();
-                r.dedup();
-                s.sort_unstable();
-                s.dedup();
-                rp.push(r);
-                sp.push(s);
+                let first_read = reads.len();
+                reads.extend(r.iter().filter(|v| store_var(p, v)).map(|v| v.0));
+                sort_dedup_tail(&mut reads, first_read);
+                sort_dedup_tail(&mut syncs, first_sync);
+                read_at.push(reads.len());
+                sync_at.push(syncs.len());
             }
-            reads.push(rp);
-            syncs.push(sp);
         }
         Deps {
             tick: 1,
-            seen: out.iter().map(|ls| vec![0; ls.len()]).collect(),
+            seen: vec![0; nlocs],
             // Every location starts out stale.
-            loc: out.iter().map(|ls| vec![1; ls.len()]).collect(),
+            loc: vec![1; nlocs],
             var: vec![0; net.vars().len()],
             action: vec![0; net.actions().len()],
             reads,
+            read_at,
+            flow_reads,
+            flow_read_at,
+            has_out,
             syncs,
+            sync_at,
         }
     }
 
@@ -392,17 +491,188 @@ impl Deps {
         self.tick
     }
 
-    /// Whether an input of `(p, l)` changed since its last processing.
-    fn stale(&self, p: usize, l: usize) -> bool {
-        let seen = self.seen[p][l];
-        self.loc[p][l] > seen
-            || self.reads[p][l].iter().any(|&v| self.var[v] > seen)
-            || self.syncs[p][l].iter().any(|&a| self.action[a] > seen)
+    /// Whether an input of location `i`, of process `p`, changed since its
+    /// last processing.
+    fn stale(&self, p: usize, i: usize) -> bool {
+        let seen = self.seen[i];
+        let changed = |vars: &[usize]| vars.iter().any(|&v| self.var[v] > seen);
+        self.loc[i] > seen
+            || changed(&self.reads[self.read_at[i]..self.read_at[i + 1]])
+            || (self.has_out[i]
+                && changed(&self.flow_reads[self.flow_read_at[p]..self.flow_read_at[p + 1]]))
+            || self.syncs[self.sync_at[i]..self.sync_at[i + 1]]
+                .iter()
+                .any(|&a| self.action[a] > seen)
+    }
+}
+
+/// Outgoing transitions per location, in transition order, in one flat
+/// array. Location `(p, l)` has the flat index `base[p] + l`.
+struct Outgoing {
+    /// Flat index of each process's first location.
+    base: Vec<usize>,
+    /// Location `i`'s transitions are `trans[at[i]..at[i + 1]]`.
+    at: Vec<usize>,
+    trans: Vec<usize>,
+}
+
+impl Outgoing {
+    fn new(net: &Network) -> Outgoing {
+        let mut base = Vec::with_capacity(net.automata().len());
+        let mut nlocs = 0;
+        for a in net.automata() {
+            base.push(nlocs);
+            nlocs += a.locations.len();
+        }
+        // Counting sort by source location, stable in transition order.
+        let mut at = vec![0; nlocs + 1];
+        for (p, a) in net.automata().iter().enumerate() {
+            for t in &a.transitions {
+                at[base[p] + t.from.0 + 1] += 1;
+            }
+        }
+        for i in 0..nlocs {
+            at[i + 1] += at[i];
+        }
+        let mut next = at.clone();
+        let mut trans = vec![0; at[nlocs]];
+        for (p, a) in net.automata().iter().enumerate() {
+            for (t, tr) in a.transitions.iter().enumerate() {
+                let slot = &mut next[base[p] + tr.from.0];
+                trans[*slot] = t;
+                *slot += 1;
+            }
+        }
+        Outgoing { base, at, trans }
+    }
+
+    /// Number of locations over all processes.
+    fn locations(&self) -> usize {
+        self.at.len() - 1
+    }
+
+    /// Flat index of `(p, l)`.
+    fn index(&self, p: usize, l: usize) -> usize {
+        self.base[p] + l
+    }
+
+    /// Outgoing transitions of `(p, l)`.
+    fn of(&self, p: usize, l: usize) -> &[usize] {
+        let i = self.index(p, l);
+        &self.trans[self.at[i]..self.at[i + 1]]
+    }
+}
+
+/// Sorts and deduplicates `v[from..]` in place.
+fn sort_dedup_tail(v: &mut Vec<usize>, from: usize) {
+    v[from..].sort_unstable();
+    let mut keep = from;
+    for i in from..v.len() {
+        if keep == from || v[i] != v[keep - 1] {
+            v[keep] = v[i];
+            keep += 1;
+        }
+    }
+    v.truncate(keep);
+}
+
+/// The flow step of the post-image, memoized per flow.
+///
+/// A flow's value is a pure function of the variables it reads, so a
+/// flow whose inputs equal, bit for bit, those its baseline value was
+/// computed from takes that value without evaluating. The baseline
+/// follows the store: it starts as the flow's value in the initial store
+/// and is re-based whenever a post-image evaluates the flow on inputs
+/// that equal the store's, so guard-refined or freshly written inputs
+/// never evict it.
+struct FlowBaseline {
+    /// Variables each flow reads, deduplicated: flow `f`'s are
+    /// `reads[at[f]..at[f + 1]]`.
+    reads: Vec<usize>,
+    at: Vec<usize>,
+    /// The inputs the baseline value was computed from, aligned with
+    /// `reads`.
+    inputs: Vec<AbsVal>,
+    /// Each flow's baseline value, already met with its target's type
+    /// (`None`: provably out of range, every run through the step
+    /// errors).
+    value: Vec<Option<AbsVal>>,
+}
+
+impl FlowBaseline {
+    fn new(net: &Network) -> FlowBaseline {
+        let flows = net.flows();
+        let mut reads = Vec::new();
+        let mut at = Vec::with_capacity(flows.len() + 1);
+        at.push(0);
+        let mut vars = Vec::new();
+        for f in flows {
+            let first = reads.len();
+            vars.clear();
+            f.expr.collect_vars(&mut vars);
+            reads.extend(vars.iter().map(|v| v.0));
+            sort_dedup_tail(&mut reads, first);
+            at.push(reads.len());
+        }
+        let inputs = vec![TOP_NUM; reads.len()];
+        FlowBaseline { reads, at, inputs, value: vec![None; flows.len()] }
+    }
+
+    /// Makes `val` flow `i`'s baseline on the inputs `fr` holds.
+    fn rebase(&mut self, i: usize, fr: &[AbsVal], val: Option<AbsVal>) {
+        let span = self.at[i]..self.at[i + 1];
+        for (slot, &v) in self.inputs[span.clone()].iter_mut().zip(&self.reads[span]) {
+            *slot = fr[v];
+        }
+        self.value[i] = val;
+    }
+
+    /// Flow `i`'s value (`expr` met with `ty`) over the frame `fr`, from
+    /// the baseline when its inputs match; `evals` counts evaluations.
+    fn eval(
+        &mut self,
+        i: usize,
+        expr: &Expr,
+        ty: VarType,
+        fr: &[AbsVal],
+        store: &[AbsVal],
+        evals: &mut usize,
+    ) -> Option<AbsVal> {
+        let reads = &self.reads[self.at[i]..self.at[i + 1]];
+        let inputs = &self.inputs[self.at[i]..self.at[i + 1]];
+        if reads.iter().zip(inputs).all(|(&v, &b)| same_bits(fr[v], b)) {
+            return self.value[i];
+        }
+        *evals += 1;
+        let val = abs_eval(expr, &|v| fr[v.0]).meet(AbsVal::of_type(ty));
+        if reads.iter().all(|&v| same_bits(fr[v], store[v])) {
+            self.rebase(i, fr, val);
+        }
+        val
+    }
+}
+
+/// Bit-for-bit equality of abstract values (`==` identifies `-0.0` with
+/// `+0.0`, which an evaluation may tell apart).
+fn same_bits(a: AbsVal, b: AbsVal) -> bool {
+    match (a, b) {
+        (AbsVal::Num(al, ah), AbsVal::Num(bl, bh)) => {
+            al.to_bits() == bl.to_bits() && ah.to_bits() == bh.to_bits()
+        }
+        (AbsVal::Bool(x), AbsVal::Bool(y)) => x == y,
+        _ => false,
     }
 }
 
 impl<'n> Engine<'n> {
-    fn new(net: &'n Network, zones_on: bool, k: f64) -> Engine<'n> {
+    /// An engine over `net` with extrapolation constant `k`, tracking the
+    /// clocks `tracked` (see [`tracked_clocks`]) when `zones_on`.
+    fn new(
+        net: &'n Network,
+        k: f64,
+        tracked: &[(VarId, Option<usize>)],
+        zones_on: bool,
+    ) -> Engine<'n> {
         let vars = net.vars();
         let nvars = vars.len();
         let timed: Vec<bool> = vars.iter().map(|d| d.ty.is_timed()).collect();
@@ -437,17 +707,19 @@ impl<'n> Engine<'n> {
 
         // Initial store: declared values exactly, timed pinned to ⊤,
         // then the flows overwrite their targets (the declared initial
-        // value of a flow target is never observable).
+        // value of a flow target is never observable). Each flow's value
+        // here is its first baseline.
         let mut store: Vec<AbsVal> = vars
             .iter()
             .enumerate()
             .map(|(v, d)| if timed[v] { TOP_NUM } else { AbsVal::exact(d.ty.canonicalize(d.init)) })
             .collect();
-        for f in net.flows() {
-            let val = abs_eval(&f.expr, &|v| store[v.0]);
-            store[f.target.0] = val
-                .meet(AbsVal::of_type(vars[f.target.0].ty))
-                .unwrap_or_else(|| AbsVal::of_type(vars[f.target.0].ty));
+        let mut flows = FlowBaseline::new(net);
+        for (i, f) in net.flows().iter().enumerate() {
+            let ty = vars[f.target.0].ty;
+            let val = abs_eval(&f.expr, &|v| store[v.0]).meet(AbsVal::of_type(ty));
+            flows.rebase(i, &store, val);
+            store[f.target.0] = val.unwrap_or_else(|| AbsVal::of_type(ty));
         }
 
         let reachable: Vec<Vec<bool>> = net
@@ -471,26 +743,19 @@ impl<'n> Engine<'n> {
             .collect();
         let env_joins = net.automata().iter().map(|a| vec![0; a.locations.len()]).collect();
         let live = net.automata().iter().map(|a| vec![false; a.transitions.len()]).collect();
-        let out: Vec<Vec<Vec<usize>>> = net
-            .automata()
-            .iter()
-            .map(|a| {
-                let mut out = vec![Vec::new(); a.locations.len()];
-                for (t, trans) in a.transitions.iter().enumerate() {
-                    out[trans.from.0].push(t);
-                }
-                out
-            })
-            .collect();
+        let out = Outgoing::new(net);
         let deps = Deps::new(net, &out, &priv_idx, &timed);
 
         // Clock-zone product setup (see `tracked_clocks`).
         let nprocs = net.automata().len();
         let mut zclocks: Vec<Vec<VarId>> = vec![Vec::new(); nprocs];
-        let mut zidx: Vec<Vec<Option<usize>>> = vec![vec![None; nvars]; nprocs];
+        let mut zidx: Vec<Vec<Option<usize>>> = vec![Vec::new(); nprocs];
         if zones_on {
-            for (v, writer) in tracked_clocks(net) {
+            for &(v, writer) in tracked {
                 let mut track = |p: usize| {
+                    if zidx[p].is_empty() {
+                        zidx[p] = vec![None; nvars];
+                    }
                     zidx[p][v.0] = Some(zclocks[p].len() + 1);
                     zclocks[p].push(v);
                 };
@@ -500,16 +765,19 @@ impl<'n> Engine<'n> {
                 }
             }
         }
+        let mut work = FixpointWork::default();
         // Initial residence zones: the exact initial point (clock inits
         // plus global time T = 0), intersected with the init location's
-        // invariant, elapsed, and re-intersected.
+        // invariant, elapsed, and re-intersected. A process without
+        // tracked clocks keeps T ≥ 0 at every location for good — no
+        // constraint mentions T — so it stores no zones.
         let zones: Vec<Vec<Option<Dbm>>> = net
             .automata()
             .iter()
             .enumerate()
             .map(|(p, a)| {
                 let mut zs: Vec<Option<Dbm>> = vec![None; a.locations.len()];
-                if zones_on {
+                if zones_on && !zclocks[p].is_empty() {
                     let mut vals: Vec<f64> = zclocks[p]
                         .iter()
                         .map(|v| match vars[v.0].ty.canonicalize(vars[v.0].init) {
@@ -531,6 +799,7 @@ impl<'n> Engine<'n> {
                     let met = if met.close() { met } else { entry };
                     let mut res = met.clone();
                     residence_zone(&met, inv, &ctx, k, &mut res);
+                    work.zone_closures += 2;
                     zs[a.init.0] = Some(res);
                 }
                 zs
@@ -558,35 +827,49 @@ impl<'n> Engine<'n> {
             zones,
             zone_joins,
             deps,
+            flows,
             frame_buf: Vec::with_capacity(nvars),
             writes_buf: Vec::new(),
-            zone_buf: None,
+            loc_zone: Dbm::unconstrained(0),
+            zone_buf: Dbm::unconstrained(0),
             res_buf: Dbm::unconstrained(0),
             changed: false,
             rounds: 0,
             widenings: 0,
+            work,
         }
     }
 
-    /// Canonical copy of the residence zone at `(p, l)`, `None` with the
-    /// zone product off. Stored zones are non-empty by construction; a
-    /// failed close (cannot happen) degrades to the unconstrained zone.
-    fn residence_at(&self, p: usize, l: usize) -> Option<Dbm> {
-        if !self.zones_on {
-            return None;
+    /// Counts one zone closure on behalf of process `p`.
+    fn count_closure(&mut self, p: usize) {
+        self.work.zone_closures += 1;
+        if self.zclocks[p].is_empty() {
+            self.work.clockless_zone_closures += 1;
         }
+    }
+
+    /// Whether `p` runs the zone product: zones are on and it tracks a
+    /// clock. Without one, no guard or invariant atom has a clock term,
+    /// so its residence zone stays T ≥ 0 and can never cut a transition.
+    fn zoned(&self, p: usize) -> bool {
+        self.zones_on && !self.zclocks[p].is_empty()
+    }
+
+    /// The canonical residence zone at `(p, l)` of a zoned process, into
+    /// `w`. Stored zones are non-empty by construction; a failed close
+    /// (cannot happen) degrades to the unconstrained zone.
+    fn residence_into(&mut self, p: usize, l: usize, w: &mut Dbm) {
         let dim = self.zclocks[p].len() + 2;
-        Some(match &self.zones[p][l] {
+        match &self.zones[p][l] {
             Some(z) => {
-                let mut c = z.clone();
-                if c.close() {
-                    c
-                } else {
-                    Dbm::unconstrained(dim)
+                w.clone_from(z);
+                self.count_closure(p);
+                if !w.close() {
+                    *w = Dbm::unconstrained(dim);
                 }
             }
-            None => Dbm::unconstrained(dim),
-        })
+            None => *w = Dbm::unconstrained(dim),
+        }
     }
 
     /// The frame over all variables as seen from `(p, l)`, into a reused
@@ -622,8 +905,9 @@ impl<'n> Engine<'n> {
             self.changed = false;
             for p in 0..self.net.automata().len() {
                 for l in 0..self.net.automata()[p].locations.len() {
-                    if self.reachable[p][l] && self.deps.stale(p, l) {
-                        self.deps.seen[p][l] = self.deps.tick;
+                    let i = self.out.index(p, l);
+                    if self.reachable[p][l] && self.deps.stale(p, i) {
+                        self.deps.seen[i] = self.deps.tick;
                         self.process_location(p, l);
                     }
                 }
@@ -641,6 +925,13 @@ impl<'n> Engine<'n> {
         self.deps.bump()
     }
 
+    /// Stamps a change of the env or zone at `(p, l)`.
+    fn touch_loc(&mut self, p: usize, l: usize) {
+        let stamp = self.touch();
+        let i = self.out.index(p, l);
+        self.deps.loc[i] = stamp;
+    }
+
     /// Sets the live flag of `(p, t)`, stamping its sync action.
     fn set_live(&mut self, p: usize, t: usize, action: ActionId) {
         if !self.live[p][t] {
@@ -654,15 +945,22 @@ impl<'n> Engine<'n> {
 
     fn process_location(&mut self, p: usize, l: usize) {
         let net = self.net;
-        let res_zone = self.residence_at(p, l);
+        self.work.locations += 1;
+        let zoned = self.zoned(p);
+        let mut res_zone = std::mem::replace(&mut self.loc_zone, Dbm::unconstrained(0));
+        if zoned {
+            self.residence_into(p, l, &mut res_zone);
+        }
         let mut fr = std::mem::take(&mut self.frame_buf);
-        let mut zone = self.zone_buf.take();
-        for i in 0..self.out[p][l].len() {
-            let t = self.out[p][l][i];
+        let mut zone = std::mem::replace(&mut self.zone_buf, Dbm::unconstrained(0));
+        for i in 0..self.out.of(p, l).len() {
+            let t = self.out.of(p, l)[i];
             let trans = &net.automata()[p].transitions[t];
             let (to, action) = (trans.to.0, trans.action);
             self.frame_into(p, l, &mut fr);
-            zone.clone_from(&res_zone);
+            if zoned {
+                zone.clone_from(&res_zone);
+            }
             match &trans.guard {
                 GuardKind::Markovian(_) => self.set_live(p, t, action),
                 GuardKind::Boolean(g) => {
@@ -672,10 +970,11 @@ impl<'n> Engine<'n> {
                     // Zone product: intersect the residence zone with the
                     // guard's difference constraints. An empty meet means
                     // no time-consistent valuation satisfies the guard.
-                    if let Some(z) = &mut zone {
+                    if zoned {
                         let ctx = ZoneCtx { zidx: &self.zidx[p], read: &|v| fr[v.0] };
-                        constrain_expr(z, &ctx, g, true);
-                        if !z.close() {
+                        constrain_expr(&mut zone, &ctx, g, true);
+                        self.count_closure(p);
+                        if !zone.close() {
                             continue; // zone-dead guard from here
                         }
                     }
@@ -685,16 +984,17 @@ impl<'n> Engine<'n> {
                     }
                 }
             }
-            self.transfer(p, t, to, &mut fr, zone.as_mut());
+            self.transfer(p, t, to, &mut fr, zoned.then_some(&mut zone));
         }
         self.frame_buf = fr;
         self.zone_buf = zone;
+        self.loc_zone = res_zone;
     }
 
     /// Applies effects, flows, and the target invariant to the refined
     /// source frame, then joins the result into `(p, to)` and the store.
-    /// `zone` is the canonical guard-met zone at the source (`None` with
-    /// the zone product off).
+    /// `zone` is the canonical guard-met zone at the source (`None` when
+    /// `p` runs no zone product).
     fn transfer(
         &mut self,
         p: usize,
@@ -718,6 +1018,7 @@ impl<'n> Engine<'n> {
                 let inv = &self.net.automata()[p].locations[to].invariant;
                 let ctx = ZoneCtx { zidx: &self.zidx[p], read: &|v| fr[v.0] };
                 residence_zone(entry, inv, &ctx, self.k, &mut res);
+                self.count_closure(p);
                 self.join_zone(p, to, &res);
                 self.res_buf = res;
             }
@@ -737,7 +1038,7 @@ impl<'n> Engine<'n> {
     /// met) in `zone`. Returns `false` when every run through the
     /// transition aborts.
     fn post(
-        &self,
+        &mut self,
         p: usize,
         t: usize,
         to: usize,
@@ -745,7 +1046,9 @@ impl<'n> Engine<'n> {
         mut zone: Option<&mut Dbm>,
         writes: &mut Vec<(VarId, AbsVal)>,
     ) -> bool {
-        let trans = &self.net.automata()[p].transitions[t];
+        let net = self.net;
+        self.work.posts += 1;
+        let trans = &net.automata()[p].transitions[t];
         // Clock resets in the zone, evaluated over the pre-state frame
         // (before the interval writes land). A singleton value is an
         // exact reset; anything else frees the clock to the value's
@@ -763,6 +1066,7 @@ impl<'n> Engine<'n> {
                         if lo.is_finite() {
                             z.constrain(0, i, -lo);
                         }
+                        self.count_closure(p);
                         if !z.close() {
                             return false; // unreachable: bounding a freed clock
                         }
@@ -777,7 +1081,7 @@ impl<'n> Engine<'n> {
             if self.timed[eff.var.0] {
                 continue; // re-pinned to ⊤ below
             }
-            let Some(val) = val.meet(AbsVal::of_type(self.net.ty_of(eff.var))) else {
+            let Some(val) = val.meet(AbsVal::of_type(net.ty_of(eff.var))) else {
                 return false; // provably out of range: the step always errors
             };
             writes.push((eff.var, val));
@@ -790,9 +1094,10 @@ impl<'n> Engine<'n> {
             fr[v] = TOP_NUM;
         }
         // Flows re-derive their targets in every state.
-        for f in self.net.flows() {
-            let val = abs_eval(&f.expr, &|v| fr[v.0]);
-            let Some(val) = val.meet(AbsVal::of_type(self.net.ty_of(f.target))) else {
+        for (i, f) in net.flows().iter().enumerate() {
+            let ty = net.ty_of(f.target);
+            let evals = &mut self.work.flow_evals;
+            let Some(val) = self.flows.eval(i, &f.expr, ty, fr, &self.store, evals) else {
                 return false;
             };
             fr[f.target.0] = val;
@@ -800,7 +1105,7 @@ impl<'n> Engine<'n> {
         }
         // Entering a location whose invariant the new valuation violates
         // aborts the run; surviving runs satisfy it.
-        let inv = &self.net.automata()[p].locations[to].invariant;
+        let inv = &net.automata()[p].locations[to].invariant;
         if !inv.is_const_true() && !refine(inv, true, fr) {
             return false;
         }
@@ -810,6 +1115,7 @@ impl<'n> Engine<'n> {
             let ctx = ZoneCtx { zidx: &self.zidx[p], read: &|v| fr[v.0] };
             constrain_expr(ze, &ctx, inv, true);
         }
+        self.count_closure(p);
         ze.close() // empty: every entering run aborts on the invariant
     }
 
@@ -841,7 +1147,7 @@ impl<'n> Engine<'n> {
             }
         }
         if grew {
-            self.deps.loc[p][to] = self.touch();
+            self.touch_loc(p, to);
             self.env_joins[p][to] += 1;
             // Keep the store an upper bound of every location env, so
             // cross-process reads of private variables stay sound.
@@ -859,7 +1165,7 @@ impl<'n> Engine<'n> {
             slot @ None => {
                 *slot = Some(w.clone());
                 self.zone_joins[p][to] = 1;
-                self.deps.loc[p][to] = self.touch();
+                self.touch_loc(p, to);
             }
             Some(old) => {
                 let widen = self.zone_joins[p][to] >= WIDEN_AFTER;
@@ -868,7 +1174,7 @@ impl<'n> Engine<'n> {
                         self.widenings += 1;
                     }
                     self.zone_joins[p][to] += 1;
-                    self.deps.loc[p][to] = self.touch();
+                    self.touch_loc(p, to);
                 }
             }
         }
@@ -911,14 +1217,21 @@ impl<'n> Engine<'n> {
         let mut int_sat: Vec<Vec<bool>> = Vec::with_capacity(nprocs);
         let mut zone_sat: Vec<Vec<bool>> = Vec::with_capacity(nprocs);
         let mut trans_min_time: Vec<Vec<Option<f64>>> = Vec::with_capacity(nprocs);
-        // Canonical residence zone per reachable `[proc][loc]`.
-        let residences: Vec<Vec<Option<Dbm>>> = (0..nprocs)
-            .map(|p| {
-                (0..self.reachable[p].len())
-                    .map(|l| if self.reachable[p][l] { self.residence_at(p, l) } else { None })
-                    .collect()
-            })
-            .collect();
+        // Canonical residence zone per reachable `[proc][loc]` of a zoned
+        // process. Every other process resides in T ≥ 0, whose lower
+        // bound on T is 0 and which every guard meets.
+        let mut residences: Vec<Vec<Option<Dbm>>> = Vec::with_capacity(nprocs);
+        for p in 0..nprocs {
+            let mut rs = Vec::with_capacity(self.reachable[p].len());
+            for l in 0..self.reachable[p].len() {
+                rs.push((self.reachable[p][l] && self.zoned(p)).then(|| {
+                    let mut w = Dbm::unconstrained(0);
+                    self.residence_into(p, l, &mut w);
+                    w
+                }));
+            }
+            residences.push(rs);
+        }
         // Effects that provably always error, flagged on satisfiable
         // transitions and kept below for the live ones.
         let mut doomed_candidates: Vec<(ProcId, TransId, usize)> = Vec::new();
@@ -945,12 +1258,13 @@ impl<'n> Engine<'n> {
                 // transition can fire (lower bound on T in the met zone).
                 let (zok, zmin) = match (&residences[p][from], &trans.guard) {
                     _ if !ok => (true, None),
-                    (None, _) => (true, None),
+                    (None, _) => (true, self.zones_on.then_some(0.0)),
                     (Some(res), GuardKind::Markovian(_)) => (true, Some(time_lower(res, tidx))),
                     (Some(res), GuardKind::Boolean(g)) => {
                         zg.clone_from(res);
                         let ctx = ZoneCtx { zidx: &self.zidx[p], read: &|v| fr[v.0] };
                         constrain_expr(&mut zg, &ctx, g, true);
+                        self.count_closure(p);
                         if zg.close() {
                             (true, Some(time_lower(&zg, tidx)))
                         } else {
@@ -977,18 +1291,18 @@ impl<'n> Engine<'n> {
             zone_sat.push(sz);
             trans_min_time.push(mt);
         }
-        let sat: Vec<Vec<bool>> = int_sat
+        // The final live flags: satisfiable under both domains.
+        self.live = int_sat
             .iter()
             .zip(zone_sat.iter())
             .map(|(a, b)| a.iter().zip(b.iter()).map(|(x, y)| *x && *y).collect())
             .collect();
-        self.live = sat.clone();
         for (p, a) in self.net.automata().iter().enumerate() {
             let mut st = Vec::with_capacity(a.transitions.len());
             for (t, trans) in a.transitions.iter().enumerate() {
                 let s = if !self.reachable[p][trans.from.0] {
                     TransStatus::DeadSource
-                } else if !sat[p][t] {
+                } else if !self.live[p][t] {
                     TransStatus::DeadGuard
                 } else if !trans.action.is_tau() && !self.action_available(trans.action) {
                     TransStatus::SyncBlocked
@@ -1020,11 +1334,15 @@ impl<'n> Engine<'n> {
         for (p, a) in self.net.automata().iter().enumerate() {
             let tidx = self.zclocks[p].len() + 1;
             let mut mt = Vec::with_capacity(a.locations.len());
-            for (l, (res, outgoing)) in residences[p].iter().zip(&self.out[p]).enumerate() {
-                mt.push(res.as_ref().map(|z| time_lower(z, tidx)));
+            for (l, res) in residences[p].iter().enumerate() {
+                let outgoing = self.out.of(p, l);
+                mt.push(match res {
+                    Some(z) => Some(time_lower(z, tidx)),
+                    None => (self.zones_on && self.reachable[p][l]).then_some(0.0),
+                });
                 let Some(res) = res else { continue };
                 if outgoing.is_empty()
-                    || !outgoing.iter().all(|&t| !sat[p][t])
+                    || !outgoing.iter().all(|&t| !self.live[p][t])
                     || !outgoing.iter().any(|&t| zone_dead[p][t])
                 {
                     continue;
@@ -1052,6 +1370,7 @@ impl<'n> Engine<'n> {
             trans_min_time,
             rounds: self.rounds,
             widenings: self.widenings,
+            work: self.work,
         }
     }
 }
@@ -1276,6 +1595,11 @@ impl Fixpoint {
                 }
             }
         }
+    }
+
+    /// The work the engine did to compute this fixpoint.
+    pub fn work(&self) -> FixpointWork {
+        self.work
     }
 
     /// Whether the clock-zone product ran in this fixpoint.
@@ -1816,6 +2140,10 @@ mod tests {
         assert_eq!(fix.may_expr(&Expr::var(high)), None, "`high` may become true");
     }
 
+    fn extrapolation_k(net: &Network, deadline: Option<f64>) -> f64 {
+        net_facts(net).extrapolation_k(deadline)
+    }
+
     /// Engine runs on this thread so far.
     fn engine_runs() -> usize {
         ENGINE_RUNS.get()
@@ -1833,7 +2161,7 @@ mod tests {
         let lint = analyze_network(&net);
         let pre = analyze_network_with(&net, &with_deadline(4.0));
         assert_eq!(engine_runs() - before, 1, "the pre-verdict reuses the lint fixpoint");
-        assert_eq!(format!("{lint:?}"), format!("{pre:?}"));
+        assert!(Rc::ptr_eq(&lint, &pre), "and shares it instead of copying it");
     }
 
     #[test]
@@ -1889,7 +2217,8 @@ mod tests {
         let opts = with_deadline(3.0);
         let first = analyze_network_with(&net, &opts);
         let hit = analyze_network_with(&net, &opts);
-        let fresh = Engine::new(&net, true, extrapolation_k(&net, Some(3.0))).run();
+        let k = extrapolation_k(&net, Some(3.0));
+        let fresh = Engine::new(&net, k, &tracked_clocks(&net), true).run();
         assert_eq!(format!("{hit:?}"), format!("{fresh:?}"));
         assert_eq!(format!("{first:?}"), format!("{fresh:?}"));
     }

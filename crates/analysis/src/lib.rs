@@ -45,7 +45,8 @@ pub mod zone;
 
 pub use domain::{abs_eval, refine, AbsVal};
 pub use fixpoint::{
-    analyze_network, analyze_network_with, guard_total, AnalysisOptions, Fixpoint, TransStatus,
+    analyze_network, analyze_network_with, guard_total, AnalysisOptions, Fixpoint, FixpointWork,
+    TransStatus,
 };
 pub use summary::AnalysisSummary;
 pub use zone::Dbm;

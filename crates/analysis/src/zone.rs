@@ -285,8 +285,13 @@ fn negate_cmp(op: BinOp) -> BinOp {
 }
 
 /// Tightens `z` with the atom `a op b`. Strict comparisons are relaxed to
-/// their non-strict closure, `Ne` contributes nothing.
+/// their non-strict closure, `Ne` contributes nothing, and neither does
+/// an atom without a tracked clock (it linearizes to no terms).
 fn constrain_cmp(z: &mut Dbm, ctx: &ZoneCtx<'_>, op: BinOp, a: &Expr, b: &Expr) {
+    let clock = |v: VarId| ctx.zidx[v.0].is_some();
+    if !a.reads_any_var(&clock) && !b.reads_any_var(&clock) {
+        return;
+    }
     let (Some(la), Some(lb)) = (lin(ctx, a), lin(ctx, b)) else { return };
     // Move everything to `sum(terms) op [lo, hi]`.
     let mut terms = la.terms;

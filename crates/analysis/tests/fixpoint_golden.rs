@@ -13,7 +13,7 @@
 //! On a mismatch the test prints the full recomputed table; replace the
 //! data file with it only when a change of the analysis is intended.
 
-use slim_analysis::{analyze_network_with, AnalysisOptions};
+use slim_analysis::{analyze_network_with, AnalysisOptions, FixpointWork};
 use slim_fuzz::{generate, GenParams};
 
 const GOLDEN: &str = include_str!("fixpoint_golden.txt");
@@ -68,4 +68,37 @@ fn fixpoints_match_the_golden_digests() {
             diverging.len()
         );
     }
+}
+
+/// The engine's work over the golden models (zones on, no deadline) is
+/// pinned exactly: a change that does more (or less) work shows here even
+/// when every digest above holds. Flow evaluations stay under 30 % of
+/// `posts × flows`, the count without the flow baseline (125 940 here),
+/// and processes without a tracked clock do no zone work (they did
+/// 42 719 of 192 866 zone closures before it was skipped).
+#[test]
+fn fixpoint_work_is_pinned() {
+    let mut w = FixpointWork::default();
+    let mut post_flows = 0;
+    for index in 0..MODELS {
+        let g = generate(SEED, index, &corpus_params());
+        let net = g.network().expect("generated models lower");
+        let one = analyze_network_with(&net, &AnalysisOptions::default()).work();
+        w.locations += one.locations;
+        w.posts += one.posts;
+        w.flow_evals += one.flow_evals;
+        w.zone_closures += one.zone_closures;
+        w.clockless_zone_closures += one.clockless_zone_closures;
+        post_flows += one.posts * net.flows().len();
+    }
+    assert!(w.flow_evals * 10 <= post_flows * 3, "{} of {post_flows}", w.flow_evals);
+    assert_eq!(w.clockless_zone_closures, 0);
+    let expected = FixpointWork {
+        locations: 36_449,
+        posts: 49_779,
+        flow_evals: 16_757,
+        zone_closures: 150_147,
+        clockless_zone_closures: 0,
+    };
+    assert_eq!(w, expected);
 }

@@ -301,8 +301,17 @@ impl Expr {
     }
 
     /// True if the expression reads any variable for which `pred` holds.
+    /// Walks the tree without allocating and stops at the first match.
     pub fn reads_any_var(&self, pred: &dyn Fn(VarId) -> bool) -> bool {
-        self.vars().into_iter().any(pred)
+        match self {
+            Expr::Const(_) => false,
+            Expr::Var(v) => pred(*v),
+            Expr::Not(e) | Expr::Neg(e) => e.reads_any_var(pred),
+            Expr::Bin(_, a, b) => a.reads_any_var(pred) || b.reads_any_var(pred),
+            Expr::Ite(c, t, e) => {
+                c.reads_any_var(pred) || t.reads_any_var(pred) || e.reads_any_var(pred)
+            }
+        }
     }
 
     /// Rewrites every variable reference through `map` (used when merging
@@ -550,6 +559,50 @@ mod tests {
         let e = Expr::var(VarId(0)).add(Expr::var(VarId(1)));
         let shifted = e.map_vars(&|v| VarId(v.0 + 10));
         assert_eq!(shifted.vars(), vec![VarId(10), VarId(11)]);
+    }
+
+    /// A random expression tree over variables `0..8` (xorshift64 over
+    /// `state`), up to `depth` levels deep.
+    fn random_expr(state: &mut u64, depth: u32) -> Expr {
+        let mut next = |n: u64| {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            *state % n
+        };
+        let pick = if depth == 0 { next(2) } else { next(6) };
+        let var = VarId(next(8) as usize);
+        match pick {
+            0 => Expr::int(next(5) as i64),
+            1 => Expr::var(var),
+            2 => Expr::Not(Box::new(random_expr(state, depth - 1))),
+            3 => Expr::Neg(Box::new(random_expr(state, depth - 1))),
+            4 => Expr::Bin(
+                BinOp::Add,
+                Box::new(random_expr(state, depth - 1)),
+                Box::new(random_expr(state, depth - 1)),
+            ),
+            _ => Expr::ite(
+                random_expr(state, depth - 1),
+                random_expr(state, depth - 1),
+                random_expr(state, depth - 1),
+            ),
+        }
+    }
+
+    /// The short-circuiting walk answers exactly what the collected,
+    /// sorted and deduplicated variable list answers, for every
+    /// predicate over a random variable subset.
+    #[test]
+    fn reads_any_var_agrees_with_vars_any() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..2000 {
+            let e = random_expr(&mut state, 5);
+            for mask in [0u32, 1, 0b1010_0101, 0x80, 0xff, (state % 256) as u32] {
+                let pred = |v: VarId| mask & (1 << v.0) != 0;
+                assert_eq!(e.reads_any_var(&pred), e.vars().into_iter().any(pred), "{e} {mask:b}");
+            }
+        }
     }
 
     #[test]

@@ -104,7 +104,8 @@ impl NetUid {
 /// A validated network of event-data automata.
 ///
 /// `PartialEq` and `Debug` compare and show the model only, not its
-/// [`NetUid`]: a clone and a fresh assembly of the same model are equal.
+/// [`NetUid`] or validation flag: a clone and a fresh assembly of the
+/// same model are equal.
 #[derive(Clone)]
 pub struct Network {
     pub(crate) actions: Vec<ActionDecl>,
@@ -114,6 +115,9 @@ pub struct Network {
     /// Participants per action (automata whose alphabet contains it).
     pub(crate) participants: Vec<Vec<ProcId>>,
     uid: NetUid,
+    /// Whether [`validate_network`] accepted this network: set by
+    /// [`NetworkBuilder::build`] and carried through [`Network::prune`].
+    validated: bool,
 }
 
 impl PartialEq for Network {
@@ -142,6 +146,15 @@ impl Network {
     /// This network's identity (see [`NetUid`]).
     pub fn uid(&self) -> NetUid {
         self.uid
+    }
+
+    /// Whether this network passed [`validate_network`] at assembly
+    /// ([`NetworkBuilder::build`], or a prune of such a network). Then
+    /// [`crate::validate::validate_all`] would report nothing, and
+    /// well-formedness need not be checked again. A network from
+    /// [`NetworkBuilder::assemble_for_validation`] answers `false`.
+    pub fn is_validated(&self) -> bool {
+        self.validated
     }
 
     /// The action table (index 0 is τ).
@@ -829,9 +842,10 @@ impl Network {
             flows: self.flows.clone(),
             participants,
             uid: NetUid::fresh(),
+            validated: self.validated,
         };
         debug_assert!(
-            validate_network(&net).is_ok(),
+            !net.validated || validate_network(&net).is_ok(),
             "pruning a validated network must preserve well-formedness"
         );
         (net, PruneMaps { locs: loc_maps, trans: trans_maps })
@@ -920,8 +934,9 @@ impl NetworkBuilder {
     /// Any [`ModelError`] describing a well-formedness violation; see the
     /// crate documentation for the full rule set.
     pub fn build(self) -> Result<Network, ModelError> {
-        let network = self.assemble_for_validation()?;
+        let mut network = self.assemble_for_validation()?;
         validate_network(&network)?;
+        network.validated = true;
         Ok(network)
     }
 
@@ -964,7 +979,15 @@ impl NetworkBuilder {
             }
         }
 
-        Ok(Network { actions, vars, automata, flows, participants, uid: NetUid::fresh() })
+        Ok(Network {
+            actions,
+            vars,
+            automata,
+            flows,
+            participants,
+            uid: NetUid::fresh(),
+            validated: false,
+        })
     }
 }
 
@@ -1010,6 +1033,27 @@ mod tests {
         let (pruned, _) = a.prune(&keep_all);
         assert_eq!(pruned, a);
         assert_ne!(pruned.uid(), a.uid());
+    }
+
+    #[test]
+    fn build_and_prune_record_validation_and_raw_assembly_does_not() {
+        let net = sync_network();
+        assert!(net.is_validated());
+        let keep_all = PrunePlan {
+            drop_trans: net.automata.iter().map(|x| vec![false; x.transitions.len()]).collect(),
+            drop_locs: net.automata.iter().map(|x| vec![false; x.locations.len()]).collect(),
+        };
+        assert!(net.prune(&keep_all).0.is_validated());
+        let mut b = NetworkBuilder::new();
+        let mut a = AutomatonBuilder::new("p");
+        a.location("l");
+        b.add_automaton(a);
+        let raw = b.assemble_for_validation().unwrap();
+        assert!(!raw.is_validated());
+        assert!(!raw
+            .prune(&PrunePlan { drop_trans: vec![vec![]], drop_locs: vec![vec![false]] })
+            .0
+            .is_validated());
     }
 
     #[test]

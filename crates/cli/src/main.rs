@@ -106,7 +106,8 @@ LINTS (lint/analyze):
 
 fn main() {
     let args = Args::parse(std::env::args().skip(1));
-    if args.command.is_empty() || args.has_flag("help") || args.command == "help" {
+    let asks_help = matches!(args.command.as_str(), "" | "help" | "--help" | "-h");
+    if asks_help || args.has_flag("help") {
         out!("{USAGE}");
         return;
     }

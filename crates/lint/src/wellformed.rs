@@ -34,7 +34,14 @@ pub fn diagnose_model_error(e: &ModelError) -> Diagnostic {
 }
 
 /// Runs [`validate_all`] and maps every violation to an `S2xx` diagnostic.
+/// A network that passed validation at assembly
+/// ([`Network::is_validated`]) has none, so it is not checked again:
+/// [`slim_automata::validate::validate_network`] reports exactly the
+/// first violation [`validate_all`] would.
 pub fn wellformedness(net: &Network) -> Vec<Diagnostic> {
+    if net.is_validated() {
+        return Vec::new();
+    }
     validate_all(net).iter().map(diagnose_model_error).collect()
 }
 
@@ -91,5 +98,23 @@ mod tests {
         b.add_automaton(a);
         let net = b.build().unwrap();
         assert!(wellformedness(&net).is_empty());
+    }
+
+    /// The shortcut for built networks agrees with the full check on
+    /// the same model assembled without validation.
+    #[test]
+    fn validated_networks_skip_the_check_with_the_same_answer() {
+        use slim_automata::network::{AutomatonBuilder, NetworkBuilder};
+        let builder = || {
+            let mut b = NetworkBuilder::new();
+            let mut a = AutomatonBuilder::new("p");
+            a.location("l");
+            b.add_automaton(a);
+            b
+        };
+        let built = builder().build().unwrap();
+        let raw = builder().assemble_for_validation().unwrap();
+        assert!(built.is_validated() && !raw.is_validated());
+        assert_eq!(wellformedness(&built), wellformedness(&raw));
     }
 }
